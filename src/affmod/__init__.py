@@ -12,7 +12,6 @@ from .poly import (
     divide_multi,
     exact_div,
     gcd_univariate,
-    leading_term,
     linear_decompose,
     ring,
     squarefree_part,
@@ -44,7 +43,6 @@ from .rings import (
     build_C1,
     build_C2,
     build_modification,
-    element_equal_in_quotient,
     samuel_check,
     verify_ring_map,
 )

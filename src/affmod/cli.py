@@ -10,20 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import verifier
 from .report import summarize, write_json_lines
 from .scalars import field_from_spec
 
 FIELD_ENV_VAR = "AFFMOD_FIELD"
-
-
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a rational literal: {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,62 +34,20 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", metavar="PATH", help="write JSON-lines report")
     common.add_argument("--quiet", action="store_true", help="suppress the summary")
 
-    def add_parser(sub, name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = add_parser(sub, "fibers", help="fiber classification table")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument(
-        "--lambda",
-        dest="lambdas",
-        type=_rational,
-        action="append",
-        help="fiber parameter, repeatable; rational literals like 1/2",
-    )
-
-    add_parser(sub, "takanori", help="the C1 = C2 = B_1 isomorphism chain")
-
-    p = add_parser(sub, "samuel", help="UFD-criterion hypotheses")
-    p.add_argument("--n", type=int, default=1)
-
-    p = add_parser(sub, "localization", help="Laurent chart generator identity")
-    p.add_argument("--n", type=int, default=1)
-
-    p = add_parser(sub, "main-identities", help="non-isomorphism identity chain")
-    p.add_argument("--n", type=int, default=2)
-
-    p = add_parser(sub, "degree-probe", help="exhaustive weight non-negativity probe")
-    p.add_argument("--n", type=int, default=5, help="check all n up to this bound")
-    p.add_argument("--box", type=int, default=5, help="weight box half-width")
-
-    add_parser(sub, "all", help="every check at default parameters")
+    for check in verifier.CHECKS.values():
+        p = sub.add_parser(check.name, parents=[common], help=check.help)
+        for param in check.params:
+            p.add_argument(param.flag, dest=param.dest, type=param.type,
+                           default=param.default, action=param.action,
+                           help=param.help)
     return parser
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     field = field_from_spec(args.field)
-
-    if args.command == "fibers":
-        lambdas = args.lambdas or list(verifier.DEFAULT_LAMBDAS)
-        reports = [verifier.cmd_fibers(args.n, lambdas, field)]
-    elif args.command == "takanori":
-        reports = [
-            verifier.cmd_takanori(field),
-            verifier.cmd_takanori_repaired(field),
-        ]
-    elif args.command == "samuel":
-        reports = [verifier.cmd_samuel(args.n, field)]
-    elif args.command == "localization":
-        reports = [verifier.cmd_localization(args.n, field)]
-    elif args.command == "main-identities":
-        reports = [verifier.cmd_main_identities(args.n, field)]
-    elif args.command == "degree-probe":
-        reports = [verifier.cmd_degree_probe(n_max=args.n, box=args.box)]
-    else:
-        reports = verifier.run_all(field)
+    reports = verifier.CHECKS[args.command].run(args, field)
 
     if not args.quiet:
         summarize(reports, out=sys.stdout)

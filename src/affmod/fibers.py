@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .poly import (
     MultiPoly,
-    Ring,
     UnreliableCountError,
     distinct_root_count,
     linear_decompose,
@@ -140,29 +139,13 @@ def classify_curve(p: MultiPoly) -> CurveClass:
 # -- fibers of the coordinate functions on Spec B_n -------------------------
 
 
-def base_ring(field=None) -> Ring:
-    return Ring(("x", "y"), field if field is not None else QQ)
-
-
-def ambient_ring(field=None) -> Ring:
-    return Ring(("x", "y", "u"), field if field is not None else QQ)
-
-
-def defining_relation(n: int, ring: Ring = None) -> MultiPoly:
-    """u*(x^n*y - 1) - (x - 1), the relation presenting B_n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if ring is None:
-        ring = ambient_ring()
-    x, y, u = ring.var("x"), ring.var("y"), ring.var("u")
-    return u * (x**n * y - 1) - (x - 1)
-
-
 def fiber_poly(n: int, generator: str, lam, field=None) -> MultiPoly:
     """Bivariate relation of the fiber generator = lam on Spec B_n."""
+    from .rings import build_Bn  # rings imports this module
+
     if generator not in ("x", "u", "y"):
         raise ValueError(f"generator must be one of x, u, y, not {generator!r}")
-    rel = defining_relation(n, ambient_ring(field))
+    rel = build_Bn(n, field).defining.generators[0]
     return rel.substitute({generator: rel.ring.const(lam)})
 
 
@@ -186,13 +169,28 @@ def fiber_table(n: int, lambdas, field=None) -> list:
 
 def expected_fiber_class(n: int, generator: str, lam, field=None):
     """The tabulated fiber class, with a note where the n=1 row of the
-    reducible-fiber patterns degenerates to two lines.
+    reducible-fiber patterns degenerates to two lines, or where the
+    characteristic p divides n.
+
+    The y-fibers are punctured at roots of x^n - c.  In characteristic p,
+    with n = p^k * n' and p not dividing n', x^n - c is the p^k-th power of
+    x^n' - c', so it has n' distinct roots; when p | n the root x = 1 of
+    x^n - 1 is also a root of 1 + x + ... + x^(n-1).
 
     Returns (CurveClass, note_or_None).
     """
     fld = field if field is not None else QQ
     zero, one = fld.zero, fld.one
     lam = fld.from_int(lam) if isinstance(lam, int) else lam
+    n_prime = n
+    while fld.char and n_prime % fld.char == 0:
+        n_prime //= fld.char
+    char_note = None
+    if n_prime < n:
+        char_note = (
+            f"characteristic {fld.char} divides n, so x^n - c has "
+            f"n' = {n_prime} distinct roots"
+        )
     if lam == zero:
         return AFFINE_LINE, None
     if lam == one:
@@ -210,7 +208,8 @@ def expected_fiber_class(n: int, generator: str, lam, field=None):
                 union([AFFINE_LINE, AFFINE_LINE]),
                 "residual factor is u - 1 at n=1: two lines",
             )
-        return union([AFFINE_LINE, punctured_line(n - 1)]), None
+        punctures = n_prime if n_prime < n else n - 1
+        return union([AFFINE_LINE, punctured_line(punctures)]), char_note
     if generator == "y":
-        return punctured_line(n), None
+        return punctured_line(n_prime), char_note
     return punctured_line(1), None

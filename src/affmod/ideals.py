@@ -91,11 +91,7 @@ def buchberger_gb(gens, order: MonomialOrder = GREVLEX):
 
 
 class Ideal:
-    """An ideal with a lazily cached reduced Groebner basis.
-
-    The cache is populate-once; a concurrent duplicate computation is benign
-    because the reduced basis is unique.
-    """
+    """An ideal with a lazily cached reduced Groebner basis."""
 
     def __init__(self, generators, order: MonomialOrder = GREVLEX):
         generators = list(generators)

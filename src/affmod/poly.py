@@ -339,10 +339,6 @@ class MultiPoly:
 # -- module-level operations ------------------------------------------------
 
 
-def leading_term(p: MultiPoly, order: MonomialOrder):
-    return p.leading(order)
-
-
 def divide_multi(p: MultiPoly, divisors, order: MonomialOrder):
     """Multivariate division: p = sum(q_i * g_i) + r, no monomial of r
     divisible by any divisor's leading monomial."""

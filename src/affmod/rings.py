@@ -35,10 +35,6 @@ class PresentedRing:
         return self.ambient.var(name)
 
 
-def element_equal_in_quotient(ring: PresentedRing, p: MultiPoly, q: MultiPoly) -> bool:
-    return ring.equal(p, q)
-
-
 def build_modification(a: MultiPoly, b: MultiPoly) -> PresentedRing:
     """The ring A[b/a] presented as k[x, y, u] / (a*u - b)."""
     if a.is_zero or a.is_constant():
@@ -55,12 +51,15 @@ def build_modification(a: MultiPoly, b: MultiPoly) -> PresentedRing:
 
 
 def build_Bn(n: int, field=None) -> PresentedRing:
-    """The modification of the plane along x^n*y = 1 with center (1, 1)."""
+    """The modification of the plane along x^n*y = 1 with center (1, 1):
+    build_modification(x^n*y - 1, x - 1), with the relation
+    u*(x^n*y - 1) - (x - 1) written directly in k[x, y, u]."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    base = Ring(("x", "y"), field if field is not None else QQ)
-    x, y = base.var("x"), base.var("y")
-    return build_modification(x**n * y - 1, x - 1)
+    ambient = Ring(("x", "y", "u"), field if field is not None else QQ)
+    x, y, u = ambient.gens()
+    rel = u * (x**n * y - 1) - (x - 1)
+    return PresentedRing(ambient, Ideal([rel], GREVLEX), ambient.variables)
 
 
 def build_C1(field=None) -> PresentedRing:

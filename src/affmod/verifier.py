@@ -8,8 +8,12 @@ transcript of the algebraic steps.
 from __future__ import annotations
 
 import time
+from argparse import ArgumentTypeError
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
+from typing import Callable
 
 from .degrees import DEFAULT_PROBE, exhaustive_probe
 from .fibers import expected_fiber_class, fiber_table
@@ -33,6 +37,20 @@ from .scalars import QQ, scalar_from_rational
 DEFAULT_LAMBDAS = (0, 1, 2, -1, Fraction(1, 2))
 
 
+def _report(claim_id, description, transcript, failures=(), unknowns=(),
+            verified_detail="", payload=None) -> VerificationReport:
+    """The report of one check: failed with the first failure, else unknown
+    with the first unknown, else verified."""
+    if failures:
+        status, detail = "failed", failures[0]
+    elif unknowns:
+        status, detail = "unknown", unknowns[0]
+    else:
+        status, detail = "verified", verified_detail
+    return VerificationReport(claim_id, description, status, detail, transcript,
+                              payload=payload)
+
+
 def _timed(fn):
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
@@ -48,11 +66,18 @@ def cmd_fibers(n: int, lambdas=DEFAULT_LAMBDAS, field=None) -> VerificationRepor
     """Compare the computed fiber classes of x, u, y against the tabulated
     general / reducible / zero patterns."""
     field = field if field is not None else QQ
-    lambdas = [scalar_from_rational(field, lam) for lam in lambdas]
     transcript = []
     failures = []
     unknowns = []
-    rows = fiber_table(n, lambdas, field)
+    usable = []
+    for lam in lambdas:
+        if field.char and Fraction(lam).denominator % field.char == 0:
+            transcript.append(
+                f"lambda = {lam}: skipped [note: its denominator is 0 in {field}]"
+            )
+        else:
+            usable.append(scalar_from_rational(field, lam))
+    rows = fiber_table(n, usable, field)
     for row in rows:
         expected, note = expected_fiber_class(n, row.generator, row.lam, field)
         line = (
@@ -66,19 +91,8 @@ def cmd_fibers(n: int, lambdas=DEFAULT_LAMBDAS, field=None) -> VerificationRepor
             unknowns.append(line)
         elif row.curve_class != expected:
             failures.append(line)
-    if failures:
-        status, detail = "failed", failures[0]
-    elif unknowns:
-        status, detail = "unknown", unknowns[0]
-    else:
-        status, detail = "verified", f"{len(rows)} fibers match"
-    return VerificationReport(
-        claim_id=f"fibers-n{n}",
-        description=f"fiber classification table for n={n}",
-        status=status,
-        detail=detail,
-        transcript=transcript,
-    )
+    return _report(f"fibers-n{n}", f"fiber classification table for n={n}",
+                   transcript, failures, unknowns, f"{len(rows)} fibers match")
 
 
 @_timed
@@ -152,16 +166,13 @@ def cmd_takanori(field=None) -> VerificationReport:
         )
     ok &= step4
 
-    return VerificationReport(
-        claim_id="isomorphism-chain",
-        description="C1, C2 and the n=1 modification ring are isomorphic "
+    return _report(
+        "isomorphism-chain",
+        "C1, C2 and the n=1 modification ring are isomorphic "
         "(literal two-generator presentations)",
-        status="verified" if ok else "failed",
-        detail=""
-        if ok
-        else "the two-generator ideals are not equal (see transcript); "
-        "the saturated chain verifies",
-        transcript=transcript,
+        transcript,
+        [] if ok else ["the two-generator ideals are not equal (see transcript); "
+                       "the saturated chain verifies"],
     )
 
 
@@ -218,13 +229,12 @@ def cmd_takanori_repaired(field=None) -> VerificationReport:
     transcript.append(f"the n=1 relation u*(x*y - 1) - (x - 1) lies in I2: {step4}")
     ok &= step3 and step4
 
-    return VerificationReport(
-        claim_id="isomorphism-chain-repaired",
-        description="C1, C2 and the n=1 modification ring are isomorphic "
+    return _report(
+        "isomorphism-chain-repaired",
+        "C1, C2 and the n=1 modification ring are isomorphic "
         "(saturated presentation ideal)",
-        status="verified" if ok else "failed",
-        detail="" if ok else "a sub-identity failed; see transcript",
-        transcript=transcript,
+        transcript,
+        [] if ok else ["a sub-identity failed; see transcript"],
     )
 
 
@@ -251,18 +261,15 @@ def cmd_samuel(n: int, field=None) -> VerificationReport:
         f"A/aA: {rep.quotient_a_class}, A/bA: {rep.quotient_b_class}",
         f"verdict: {rep.verdict}",
     ]
-    if rep.verdict == "hypotheses-verified" and point_ok:
-        status, detail = "verified", f"center point {point_str}"
-    elif rep.verdict == "unknown":
-        status, detail = "unknown", rep.detail
-    else:
-        status, detail = "failed", rep.detail or "center point is not (1, 1)"
-    return VerificationReport(
-        claim_id=f"samuel-n{n}",
-        description=f"UFD-criterion hypotheses for the n={n} modification",
-        status=status,
-        detail=detail,
-        transcript=transcript,
+    unknowns = [rep.detail] if rep.verdict == "unknown" else []
+    failed = rep.verdict == "failed" or not (unknowns or point_ok)
+    return _report(
+        f"samuel-n{n}",
+        f"UFD-criterion hypotheses for the n={n} modification",
+        transcript,
+        [rep.detail or "center point is not (1, 1)"] if failed else [],
+        unknowns,
+        f"center point {point_str}",
     )
 
 
@@ -291,13 +298,11 @@ def cmd_localization(n: int, field=None) -> VerificationReport:
     # and t is itself a polynomial in x, y (the other direction is immediate)
     transcript.append(f"t = {format_poly(t)} lies in k[x, y]")
 
-    ok = step1 and step2
-    return VerificationReport(
-        claim_id=f"localization-n{n}",
-        description=f"Laurent chart identity for n={n}",
-        status="verified" if ok else "failed",
-        detail="" if ok else "generator identity failed",
-        transcript=transcript,
+    return _report(
+        f"localization-n{n}",
+        f"Laurent chart identity for n={n}",
+        transcript,
+        [] if step1 and step2 else ["generator identity failed"],
     )
 
 
@@ -359,17 +364,17 @@ def cmd_main_identities(n: int, field=None, degree_bound: int = 10) -> Verificat
 
     ok = id1 and id2 and enum_ok
     if n >= 2:
-        status = "verified" if ok else "failed"
-        detail = "" if ok else "identity residual nonzero; see transcript"
+        unknowns = []
+        failures = [] if ok else ["identity residual nonzero; see transcript"]
     else:
-        status = "unknown" if ok else "failed"
-        detail = "degenerate configuration at n=1; identities require n >= 2"
-    return VerificationReport(
-        claim_id=f"main-identities-n{n}",
-        description=f"exact identity chain and degree enumeration for n={n}",
-        status=status,
-        detail=detail,
-        transcript=transcript,
+        unknowns = ["degenerate configuration at n=1; identities require n >= 2"]
+        failures = [] if ok else unknowns
+    return _report(
+        f"main-identities-n{n}",
+        f"exact identity chain and degree enumeration for n={n}",
+        transcript,
+        failures,
+        unknowns,
     )
 
 
@@ -385,31 +390,114 @@ def cmd_degree_probe(n_max: int = 5, box: int = 5, names=DEFAULT_PROBE) -> Verif
     ]
     for r in missing[:10]:
         transcript.append(f"no witness: n={r['n']}, weight={tuple(r['weight'])}")
-    ok = not missing
-    return VerificationReport(
-        claim_id="degree-probe",
-        description="weight-family non-negativity probe (degree rigidity, "
+    return _report(
+        "degree-probe",
+        "weight-family non-negativity probe (degree rigidity, "
         "within the weight family)",
-        status="verified" if ok else "failed",
-        detail=f"{len(results)} weight cases, all witnessed"
-        if ok
-        else f"{len(missing)} weights without witness",
-        transcript=transcript,
+        transcript,
+        [f"{len(missing)} weights without witness"] if missing else [],
+        verified_detail=f"{len(results)} weight cases, all witnessed",
         payload=results,
     )
 
 
+# -- the check registry: subcommands, `affmod all` and run_all ---------------
+
+
+def positive_int(text: str) -> int:
+    """argparse type of --n and --box: an integer >= 1, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise ArgumentTypeError(f"must be >= 1, not {value}")
+    return value
+
+
+def rational(text: str) -> Fraction:
+    """argparse type of --lambda: a rational literal such as 1/2."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise ArgumentTypeError(f"not a rational literal: {text!r}")
+
+
+@dataclass(frozen=True)
+class Param:
+    """One option of a check, in argparse's terms."""
+
+    flag: str
+    dest: str
+    type: Callable
+    default: object = None
+    help: str = None
+    action: str = "store"
+
+
+def _n(default: int, help: str = None) -> Param:
+    return Param("--n", "n", positive_int, default, help)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One subcommand.  ``run(params, field)`` returns its reports; it calls
+    the cmd_* functions by their module names at call time.  ``sweep`` maps
+    run_all's n values to the n values it runs this check at; None leaves the
+    check out of run_all."""
+
+    name: str
+    help: str
+    run: Callable
+    params: tuple = ()
+    sweep: Callable = None
+
+
+CHECKS = {check.name: check for check in (
+    Check(
+        "fibers", "fiber classification table",
+        lambda a, field: [cmd_fibers(a.n, a.lambdas or DEFAULT_LAMBDAS, field)],
+        (_n(2), Param("--lambda", "lambdas", rational, action="append",
+                      help="fiber parameter, repeatable; rational literals like 1/2")),
+        sweep=list,
+    ),
+    Check(
+        "takanori", "the C1 = C2 = B_1 isomorphism chain",
+        lambda a, field: [cmd_takanori(field), cmd_takanori_repaired(field)],
+        sweep=lambda ns: [None],  # once: it takes no n
+    ),
+    Check(
+        "samuel", "UFD-criterion hypotheses",
+        lambda a, field: [cmd_samuel(a.n, field)], (_n(1),), sweep=list,
+    ),
+    Check(
+        "localization", "Laurent chart generator identity",
+        lambda a, field: [cmd_localization(a.n, field)], (_n(1),), sweep=list,
+    ),
+    Check(
+        "main-identities", "non-isomorphism identity chain",
+        lambda a, field: [cmd_main_identities(a.n, field)], (_n(2),),
+        sweep=lambda ns: [n for n in ns if n >= 2],
+    ),
+    Check(
+        "degree-probe", "exhaustive weight non-negativity probe",
+        lambda a, field: [cmd_degree_probe(n_max=a.n, box=a.box)],
+        (_n(5, "check all n up to this bound"),
+         Param("--box", "box", positive_int, 5, "weight box half-width")),
+        sweep=lambda ns: [max(ns)],
+    ),
+    Check("all", "every check at default parameters",
+          lambda a, field: run_all(field)),
+)}
+
+
 def run_all(field=None, n_values=(1, 2, 3, 4, 5), lambdas=DEFAULT_LAMBDAS) -> list:
-    """Every check at default parameters, sorted by claim id."""
+    """Every check of the registry at its default parameters and each of its
+    sweep's n values, sorted by claim id."""
     reports = []
-    for n in n_values:
-        reports.append(cmd_fibers(n, lambdas, field))
-        reports.append(cmd_samuel(n, field))
-        reports.append(cmd_localization(n, field))
-    reports.append(cmd_takanori(field))
-    reports.append(cmd_takanori_repaired(field))
-    for n in n_values:
-        if n >= 2:
-            reports.append(cmd_main_identities(n, field))
-    reports.append(cmd_degree_probe(n_max=max(n_values), box=5))
+    for check in CHECKS.values():
+        defaults = {p.dest: p.default for p in check.params}
+        for n in check.sweep(n_values) if check.sweep else ():
+            params = SimpleNamespace(**defaults | {"n": n, "lambdas": lambdas})
+            reports.extend(check.run(params, field))
     return sorted(reports, key=lambda r: r.claim_id)

@@ -6,6 +6,7 @@ from affmod import (
     AFFINE_LINE,
     EMPTY,
     CurveClass,
+    build_Bn,
     classify_curve,
     expected_fiber_class,
     fiber_poly,
@@ -14,7 +15,6 @@ from affmod import (
     ring,
     union,
 )
-from affmod.fibers import defining_relation
 from affmod.scalars import PrimeField
 
 RXY = ring("x", "y")
@@ -108,7 +108,7 @@ class TestFiberPoly:
             fiber_poly(2, "v", 1)
 
     def test_relation_specializes(self):
-        rel = defining_relation(3)
+        rel = build_Bn(3).defining.generators[0]
         assert fiber_poly(3, "u", 0) == rel.substitute({"u": 0})
 
 
@@ -157,6 +157,35 @@ class TestFiberClassification:
         for n in (1, 2, 3):
             for row in fiber_table(n, [0, 1, 2, -1]):
                 assert row.curve_class.kind in ("line", "punctured", "union")
+
+    @pytest.mark.parametrize(
+        "p, n, y_one, y_lam",
+        [
+            (3, 2, 1, 2),  # p does not divide n: the n-1 roots of unity besides 1
+            (3, 3, 1, 1),  # 1 + x + x^2 = (x - 1)^2 in F_3
+            (5, 5, 1, 1),
+            (7, 7, 1, 1),
+            (3, 6, 2, 2),  # n' = 2: x^6 - 1 = (x^2 - 1)^3
+            (5, 10, 2, 2),
+        ],
+    )
+    def test_y_fibers_count_prime_to_p_roots(self, p, n, y_one, y_lam):
+        fp = PrimeField(p)
+        for lam, expected in ((1, union([AFFINE_LINE, punctured_line(y_one)])),
+                              (2, punctured_line(y_lam))):
+            got, note = expected_fiber_class(n, "y", lam, field=fp)
+            assert got == expected
+            assert (note is not None) == (n % p == 0)
+            computed = classify_curve(fiber_poly(n, "y", fp.from_int(lam), field=fp))
+            assert computed.kind == "unknown" or computed == expected
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_y_one_fiber_at_n_equal_p_is_decided(self, p):
+        # the single puncture the library computes is right, not a false red
+        fp = PrimeField(p)
+        expected, _ = expected_fiber_class(p, "y", 1, field=fp)
+        assert expected == union([AFFINE_LINE, punctured_line(1)])
+        assert classify_curve(fiber_poly(p, "y", fp.one, field=fp)) == expected
 
     def test_prime_field_small_cases(self):
         fp = PrimeField(101)

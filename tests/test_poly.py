@@ -11,7 +11,6 @@ from affmod import (
     distinct_root_count,
     divide_multi,
     gcd_univariate,
-    leading_term,
     linear_decompose,
     ring,
     squarefree_part,
@@ -94,12 +93,12 @@ class TestSubstitute:
 class TestLeadingTerm:
     def test_grevlex(self, rxy):
         x, y = rxy.gens()
-        mono, coef = leading_term(x**2 * y - 1, GREVLEX)
+        mono, coef = (x**2 * y - 1).leading(GREVLEX)
         assert mono == (2, 1) and coef == 1
 
     def test_lex(self, rxy):
         x, y = rxy.gens()
-        mono, _ = leading_term(x + y, LEX)
+        mono, _ = (x + y).leading(LEX)
         assert mono == (1, 0)
 
     def test_weighted_picks_positive_weight_component(self, rxy):
@@ -107,14 +106,14 @@ class TestLeadingTerm:
         m = 3
         x, y = rxy.gens()
         w = weighted_order(1, -m)
-        mono, _ = leading_term(x**m * y + x, w)
+        mono, _ = (x**m * y + x).leading(w)
         assert mono == (1, 0)
-        mono, _ = leading_term(x**m * y, w)
+        mono, _ = (x**m * y).leading(w)
         assert mono == (m, 1)
 
     def test_zero_rejected(self, rxy):
         with pytest.raises(ZeroPolynomialError):
-            leading_term(rxy.zero(), GREVLEX)
+            rxy.zero().leading(GREVLEX)
 
 
 class TestDivision:

@@ -31,6 +31,15 @@ class TestBuilders:
         assert b.is_proper()
         assert b.defining.contains(u * (x**n * y - 1) - (x - 1))
 
+    @pytest.mark.parametrize("field", [None, PrimeField(3)])
+    def test_bn_is_the_modification(self, field):
+        base = ring("x", "y", field=field)
+        x, y = base.gens()
+        for n in (1, 2, 5):
+            b, m = build_Bn(n, field), build_modification(x**n * y - 1, x - 1)
+            assert (b.ambient, b.defining.generators, b.generators) == (
+                m.ambient, m.defining.generators, m.generators)
+
     def test_bn_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             build_Bn(0)

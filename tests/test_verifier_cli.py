@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +13,7 @@ from affmod.report import VerificationReport, summarize
 from affmod.rings import build_C2, c1_alternate_ideal, c1_to_c2_map
 from affmod.scalars import PrimeField
 from affmod.verifier import (
+    CHECKS,
     cmd_degree_probe,
     cmd_fibers,
     cmd_localization,
@@ -30,6 +36,15 @@ class TestVerifierCommands:
     def test_fibers_prime_field(self):
         rep = cmd_fibers(2, field=PrimeField(101))
         assert rep.status == "verified"
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_fibers_skip_lambda_without_value(self, p):
+        rep = cmd_fibers(2, [0, 1, 2, Fraction(1, p)], field=PrimeField(p))
+        assert rep.status != "failed"
+        assert rep.transcript[0] == (
+            f"lambda = 1/{p}: skipped [note: its denominator is 0 in GF({p})]"
+        )
+        assert len(rep.transcript) == 1 + 3 * 3
 
     def test_isomorphism_chain_literal_fails(self):
         rep = cmd_takanori()
@@ -181,3 +196,44 @@ class TestCli:
     def test_rejects_bad_lambda(self, capsys):
         with pytest.raises(SystemExit):
             run(["fibers", "--lambda", "pi", "--quiet"])
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c.name, p.flag) for c in CHECKS.values() for p in c.params
+         if p.flag in ("--n", "--box")],
+    )
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_rejects_non_positive_sizes(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run([command, flag, value, "--quiet"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: affmod {command}") and f"argument {flag}" in err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ALL_CLAIM_IDS = sorted(
+    [f"{f}-n{n}" for f in ("fibers", "samuel", "localization") for n in range(1, 6)]
+    + [f"main-identities-n{n}" for n in range(2, 6)]
+    + ["isomorphism-chain", "isomorphism-chain-repaired", "degree-probe"]
+)
+
+
+@pytest.mark.parametrize("spec", ["rational", "fp:101", "fp:3", "fp:2"])
+def test_all_entry_point_smoke(tmp_path, spec):
+    """`python -m affmod.cli all --json PATH` in a fresh interpreter: every
+    claim reported, only the deliberate red failed, no traceback."""
+    path = tmp_path / "report.jsonl"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "affmod.cli", "all", "--field", spec, "--json", str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    reports = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["claim_id"] for r in reports] == ALL_CLAIM_IDS
+    assert [r["claim_id"] for r in reports if r["status"] == "failed"] == [
+        "isomorphism-chain"
+    ]
