@@ -15,12 +15,11 @@ from .poly import (
     linear_decompose,
     ring,
     squarefree_part,
-    weighted_order,
 )
 from .parse import (
     FractionExpr,
     ParseError,
-    format_expr,
+    format_fraction,
     format_poly,
     parse_fraction,
     parse_poly,
@@ -38,7 +37,6 @@ from .rings import (
     PresentedRing,
     RingMap,
     SamuelReport,
-    b1_swap_automorphism,
     build_Bn,
     build_C1,
     build_C2,
@@ -60,9 +58,7 @@ from .fibers import (
 from .degrees import (
     LocalizedFraction,
     WeightDegree,
-    check_F0_properties,
     fraction,
-    negative_degree_implies_y_divisible,
     probe_nonnegativity,
     valuation_degree,
     weight_degree,

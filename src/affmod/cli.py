@@ -28,6 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--field",
         default=os.environ.get(FIELD_ENV_VAR, "rational"),
+        type=field_from_spec,
         help="coefficient field: 'rational' or 'fp:PRIME' "
         f"(default from ${FIELD_ENV_VAR} or rational)",
     )
@@ -46,8 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    field = field_from_spec(args.field)
-    reports = verifier.CHECKS[args.command].run(args, field)
+    reports = verifier.CHECKS[args.command].run(args, args.field)
 
     if not args.quiet:
         summarize(reports, out=sys.stdout)

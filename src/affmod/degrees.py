@@ -54,17 +54,6 @@ class LocalizedFraction:
             if mult < 1:
                 raise ValueError("multiplicity must be positive")
 
-    def denominator(self) -> MultiPoly:
-        ring = self.numerator.ring
-        den = ring.one()
-        for elt, mult in self.inverted:
-            den = den * elt**mult
-        return den
-
-    def equal(self, other: "LocalizedFraction") -> bool:
-        """Cross-multiplied equality of fractions."""
-        return self.numerator * other.denominator() == other.numerator * self.denominator()
-
 
 def fraction(numerator: MultiPoly, *inverted) -> LocalizedFraction:
     return LocalizedFraction(numerator, tuple((e, 1) for e in inverted))
@@ -147,76 +136,3 @@ def exhaustive_probe(n_values, box: int, names=DEFAULT_PROBE) -> list:
                 }
             )
     return results
-
-
-# -- filtration properties on samples --------------------------------------
-
-
-@dataclass
-class FiltrationReport:
-    checked: int
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_F0_properties(w: WeightDegree, samples) -> FiltrationReport:
-    """Sampled subring / ideal / factorial-closure checks for the degree-0
-    filtration level F_0 = {deg <= 0}.
-
-    samples is a list of (f, g) polynomial pairs.  The factorial-closure
-    check only fires when both factors have non-negative degree (it is a
-    statement about non-negative degree functions).
-    """
-    violations = []
-    checked = 0
-    for f, g in samples:
-        checked += 1
-        df, dg = weight_degree(f, w), weight_degree(g, w)
-        # (a) F_0 is a subring: closed under + and *
-        if df <= 0 and dg <= 0:
-            if weight_degree(f + g, w) > 0:
-                violations.append(("subring-add", f, g))
-            if weight_degree(f * g, w) > 0:
-                violations.append(("subring-mul", f, g))
-        # (b) F_d is an ideal of F_0 for d <= 0
-        if df <= 0 and dg <= 0:
-            d = min(df, dg)
-            if weight_degree(f * g, w) > d:
-                violations.append(("ideal", f, g))
-        # (c) factorial closure for non-negative degrees
-        if (
-            not f.is_zero
-            and not g.is_zero
-            and df >= 0
-            and dg >= 0
-            and weight_degree(f * g, w) <= 0
-        ):
-            if df > 0 or dg > 0:
-                violations.append(("factorially-closed", f, g))
-    return FiltrationReport(checked, violations)
-
-
-def negative_degree_implies_y_divisible(m: int, h: LocalizedFraction) -> bool:
-    """For h in the localization at t = x^m*y - 1 with weights (1, -m):
-    negative degree forces the numerator into the ideal (y).
-
-    Returns True when the implication holds (vacuously when deg h >= 0).
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    ring = h.numerator.ring
-    if ring.variables != ("x", "y"):
-        raise ValueError("h must live over the base ring k[x, y]")
-    x, y = ring.var("x"), ring.var("y")
-    t = x**m * y - 1
-    for elt, _ in h.inverted:
-        if elt != t:
-            raise ValueError("h is not in the declared localization at x^m*y - 1")
-    w = WeightDegree((1, -m))
-    if valuation_degree(h, w) >= 0:
-        return True
-    y_index = ring.index("y")
-    return all(mono[y_index] >= 1 for mono in h.numerator.terms)

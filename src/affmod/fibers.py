@@ -18,7 +18,7 @@ from .poly import (
     distinct_root_count,
     linear_decompose,
 )
-from .scalars import QQ
+from .scalars import QQ, scalar_from_rational
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def expected_fiber_class(n: int, generator: str, lam, field=None):
     """
     fld = field if field is not None else QQ
     zero, one = fld.zero, fld.one
-    lam = fld.from_int(lam) if isinstance(lam, int) else lam
+    lam = scalar_from_rational(fld, lam)
     n_prime = n
     while fld.char and n_prime % fld.char == 0:
         n_prime //= fld.char

@@ -117,9 +117,6 @@ class Ideal:
             return self
         return Ideal(self.generators, order)
 
-    def is_zero(self) -> bool:
-        return not self.groebner_basis
-
     def is_proper(self) -> bool:
         gb = self.groebner_basis
         return not any(g.is_constant() for g in gb)
@@ -141,13 +138,10 @@ def normal_form(p: MultiPoly, ideal: Ideal) -> MultiPoly:
 
 
 def ideals_equal(a: Ideal, b: Ideal) -> bool:
+    """Equal reduced Groebner bases under a's order (unique per order)."""
     if a.ring != b.ring:
         raise RingMismatchError("ideals in different rings")
-    if a.order == b.order:
-        return a.groebner_basis == b.groebner_basis
-    return all(b.contains(g) for g in a.generators) and all(
-        a.contains(g) for g in b.generators
-    )
+    return a.groebner_basis == b.with_order(a.order).groebner_basis
 
 
 def colength(ideal: Ideal):

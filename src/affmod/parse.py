@@ -2,7 +2,7 @@
 
 Grammar (whitespace-insensitive, '#' starts a comment in fixture files):
 
-    fraction := poly | poly '/' poly          ('/' only at the top level)
+    fraction := poly ('/' poly)?             ('/' only at the top level)
     poly     := term (('+' | '-') term)*
     term     := unary ('*' unary)*
     unary    := '-' unary | power
@@ -108,6 +108,8 @@ class _Parser:
 
     def expect_end(self):
         t = self.peek()
+        if t.kind == "op" and t.text == "/":
+            raise ParseError("'/' is only allowed once, at the top of a fraction", t.pos)
         if t.kind != "end":
             raise ParseError(f"unexpected {t.text!r}", t.pos)
 
@@ -121,17 +123,10 @@ class _Parser:
 
     def term(self) -> MultiPoly:
         out = self.unary()
-        while True:
-            t = self.peek()
-            if t.kind == "op" and t.text == "*":
-                self.next()
-                out = out * self.unary()
-            elif t.kind == "op" and t.text == "/":
-                raise ParseError(
-                    "'/' is only allowed between two whole polynomials", t.pos
-                )
-            else:
-                return out
+        while self.peek().kind == "op" and self.peek().text == "*":
+            self.next()
+            out = out * self.unary()
+        return out
 
     def unary(self) -> MultiPoly:
         t = self.peek()
@@ -171,48 +166,37 @@ class _Parser:
         raise ParseError(f"unexpected {t.text or 'end of input'!r}", t.pos)
 
 
-def _as_ring(ring_or_vars) -> Ring:
-    if isinstance(ring_or_vars, Ring):
-        return ring_or_vars
-    return Ring(tuple(ring_or_vars))
-
-
-def parse_poly(text: str, ring_or_vars) -> MultiPoly:
-    """Parse a polynomial expression in the grammar above."""
-    ring = _as_ring(ring_or_vars)
+def _parse(text: str, ring: Ring, fraction: bool):
+    """Numerator, then '/' and a denominator if fraction is set and one
+    follows, then end of input.  Returns (numerator, slash token or None,
+    denominator or None)."""
     parser = _Parser(tokenize(text), ring)
-    p = parser.poly()
-    parser.expect_end()
-    return p
+    try:
+        num = parser.poly()
+        slash = den = None
+        t = parser.peek()
+        if fraction and t.kind == "op" and t.text == "/":
+            slash = parser.next()
+            den = parser.poly()
+        parser.expect_end()
+    except RecursionError:
+        at = parser.tokens[min(parser.i, len(parser.tokens) - 1)].pos
+        raise ParseError("expression nested too deeply", at) from None
+    return num, slash, den
 
 
-def parse_fraction(text: str, ring_or_vars) -> FractionExpr:
+def parse_poly(text: str, ring: Ring) -> MultiPoly:
+    """Parse a polynomial expression in the grammar above."""
+    return _parse(text, ring, fraction=False)[0]
+
+
+def parse_fraction(text: str, ring: Ring) -> FractionExpr:
     """Parse "P" or "P/Q"; the denominator defaults to 1."""
-    ring = _as_ring(ring_or_vars)
-    tokens = tokenize(text)
-    depth = 0
-    split = None
-    for idx, t in enumerate(tokens):
-        if t.kind == "lparen":
-            depth += 1
-        elif t.kind == "rparen":
-            depth -= 1
-        elif t.kind == "op" and t.text == "/" and depth == 0:
-            if split is not None:
-                raise ParseError("more than one top-level '/'", t.pos)
-            split = idx
-    if split is None:
-        return FractionExpr(parse_poly(text, ring), ring.one())
-    num_tokens = tokens[:split] + [Token("end", "", tokens[split].pos)]
-    den_tokens = tokens[split + 1 :]
-    pn = _Parser(num_tokens, ring)
-    num = pn.poly()
-    pn.expect_end()
-    pd = _Parser(den_tokens, ring)
-    den = pd.poly()
-    pd.expect_end()
+    num, slash, den = _parse(text, ring, fraction=True)
+    if slash is None:
+        return FractionExpr(num, ring.one())
     if den.is_zero:
-        raise ParseError("zero denominator", tokens[split].pos)
+        raise ParseError("zero denominator", slash.pos)
     return FractionExpr(num, den)
 
 
@@ -264,10 +248,3 @@ def format_fraction(f: FractionExpr) -> str:
     if f.denominator == f.denominator.ring.one():
         return format_poly(f.numerator)
     return f"({format_poly(f.numerator)})/({format_poly(f.denominator)})"
-
-
-def format_expr(x) -> str:
-    """Format a MultiPoly or FractionExpr."""
-    if isinstance(x, FractionExpr):
-        return format_fraction(x)
-    return format_poly(x)

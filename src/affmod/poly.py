@@ -2,9 +2,8 @@
 
 Polynomials are immutable maps from exponent vectors to nonzero coefficients.
 Zero coefficients are never stored, so structural equality is semantic
-equality.  Monomial orders (lex, grevlex, weighted) are key functions on
-exponent tuples; weighted orders break ties lexicographically so every order
-here is total.
+equality.  Monomial orders (lex, grevlex) are key functions on exponent
+tuples.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .scalars import QQ
+from .scalars import QQ, scalar_from_rational
 
 Monomial = tuple  # exponent vector, one entry per ring variable
 
@@ -58,8 +57,7 @@ class Ring:
         return MultiPoly(self, {tuple(e): self.field.one})
 
     def const(self, c) -> "MultiPoly":
-        if isinstance(c, int):
-            c = self.field.from_int(c)
+        c = scalar_from_rational(self.field, c)
         zero_mono = (0,) * self.nvars
         return MultiPoly(self, {zero_mono: c})
 
@@ -95,32 +93,20 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total multiplicative order on monomials.
-
-    kind is "lex", "grevlex" or "weighted"; weighted orders carry one integer
-    weight per variable and fall back to lex on equal weight.
-    """
+    """Total multiplicative order on monomials; kind is "lex" or "grevlex"."""
 
     kind: str
-    weights: tuple = None
 
     def key(self, mono: Monomial):
         if self.kind == "lex":
             return mono
         if self.kind == "grevlex":
             return (sum(mono), tuple(-e for e in reversed(mono)))
-        if self.kind == "weighted":
-            w = sum(wi * e for wi, e in zip(self.weights, mono))
-            return (w, mono)
         raise ValueError(f"unknown order kind {self.kind!r}")
 
 
 LEX = MonomialOrder("lex")
 GREVLEX = MonomialOrder("grevlex")
-
-
-def weighted_order(*weights) -> MonomialOrder:
-    return MonomialOrder("weighted", tuple(weights))
 
 
 class MultiPoly:
@@ -227,8 +213,7 @@ class MultiPoly:
 
     def scale(self, c) -> "MultiPoly":
         f = self.ring.field
-        if isinstance(c, int):
-            c = f.from_int(c)
+        c = scalar_from_rational(f, c)
         return MultiPoly(self.ring, {m: f.mul(cc, c) for m, cc in self.terms.items()})
 
     # -- equality / hashing -------------------------------------------------
@@ -454,14 +439,6 @@ class LinearDecomposition:
         ring_ = self.common.ring
         v = ring_.var(self.variable)
         return self.common * (self.c_prime * v + self.d_prime)
-
-
-def _univariate_in(p: MultiPoly):
-    """The single variable a nonconstant polynomial involves, or None."""
-    present = p.variables_present()
-    if len(present) == 1:
-        return present[0]
-    return None
 
 
 def linear_decompose(p: MultiPoly, v: str) -> LinearDecomposition:

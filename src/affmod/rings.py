@@ -31,9 +31,6 @@ class PresentedRing:
     def equal(self, p: MultiPoly, q: MultiPoly) -> bool:
         return self.normal_form(p - q).is_zero
 
-    def var(self, name: str) -> MultiPoly:
-        return self.ambient.var(name)
-
 
 def build_modification(a: MultiPoly, b: MultiPoly) -> PresentedRing:
     """The ring A[b/a] presented as k[x, y, u] / (a*u - b)."""
@@ -148,19 +145,6 @@ def c1_to_c2_map(field=None) -> RingMap:
             "v": -amb.var("X"),
         },
     )
-
-
-def b1_swap_automorphism(field=None) -> RingMap:
-    """The involution of B_1 exchanging x and y.
-
-    The image of u is forced: (y-1)/(x*y-1) = 1 - y*u in B_1, so the swap
-    sends u to 1 - y*u.  Verified to be well-defined and self-inverse by
-    verify_ring_map and the test suite.
-    """
-    b1 = build_Bn(1, field)
-    amb = b1.ambient
-    x, y, u = amb.var("x"), amb.var("y"), amb.var("u")
-    return RingMap(source=b1, target=b1, images={"x": y, "y": x, "u": 1 - y * u})
 
 
 # -- Samuel's criterion hypotheses ------------------------------------------

@@ -7,8 +7,40 @@ object bundles the arithmetic so polynomial code stays field-agnostic.
 
 from __future__ import annotations
 
+from argparse import ArgumentTypeError
 from dataclasses import dataclass
 from fractions import Fraction
+
+# Miller-Rabin with the first 13 primes as bases is deterministic below
+# PRIME_LIMIT, the least strong pseudoprime to all of them (Sorenson and
+# Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for n < PRIME_LIMIT."""
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"primality is only decided below {PRIME_LIMIT}: {n}")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class RationalField:
@@ -61,7 +93,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p**0.5) + 1)):
+        if not is_prime(self.p):
             raise ValueError(f"not a prime: {self.p}")
 
     @property
@@ -116,10 +148,19 @@ def scalar_from_rational(field, value):
     return value
 
 
+class FieldSpecError(ValueError, ArgumentTypeError):
+    """A field spec naming no supported field.  As an ArgumentTypeError,
+    argparse reports it as a usage error and keeps its message."""
+
+
 def field_from_spec(spec: str):
-    """Parse a field spec string: "rational" or "fp:P" for a prime P."""
+    """Parse a field spec string: "rational" or "fp:P" for a prime P.  It is
+    the argparse type of --field."""
     if spec == "rational":
         return QQ
     if spec.startswith("fp:"):
-        return PrimeField(int(spec[3:]))
-    raise ValueError(f"unrecognized field spec: {spec!r}")
+        try:
+            return PrimeField(int(spec[3:]))
+        except ValueError as e:
+            raise FieldSpecError(f"bad field spec {spec!r}: {e}") from None
+    raise FieldSpecError(f"unrecognized field spec: {spec!r}")

@@ -51,6 +51,13 @@ def _report(claim_id, description, transcript, failures=(), unknowns=(),
                               payload=payload)
 
 
+def _require_positive(**sizes):
+    """Library callers get the check that --n and --box get on the CLI."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
 def _timed(fn):
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
@@ -65,6 +72,7 @@ def _timed(fn):
 def cmd_fibers(n: int, lambdas=DEFAULT_LAMBDAS, field=None) -> VerificationReport:
     """Compare the computed fiber classes of x, u, y against the tabulated
     general / reducible / zero patterns."""
+    _require_positive(n=n)
     field = field if field is not None else QQ
     transcript = []
     failures = []
@@ -241,6 +249,7 @@ def cmd_takanori_repaired(field=None) -> VerificationReport:
 @_timed
 def cmd_samuel(n: int, field=None) -> VerificationReport:
     """Check the UFD-criterion hypotheses for a = x^n*y - 1, b = x - 1."""
+    _require_positive(n=n)
     base = Ring(("x", "y"), field if field is not None else QQ)
     x, y = base.var("x"), base.var("y")
     a, b = x**n * y - 1, x - 1
@@ -278,6 +287,7 @@ def cmd_localization(n: int, field=None) -> VerificationReport:
     """Generator inter-expressibility of k[x^{+-1}, y, t^{+-1}] with
     t = x^n*y - 1: inverting x turns the modification chart into a
     two-variable Laurent ring."""
+    _require_positive(n=n)
     base = Ring(("x", "y"), field if field is not None else QQ)
     x, y = base.var("x"), base.var("y")
     t = x**n * y - 1
@@ -311,6 +321,7 @@ def cmd_main_identities(n: int, field=None, degree_bound: int = 10) -> Verificat
     """The two exact polynomial identities behind the non-isomorphism
     argument (configuration m=1 < n), plus the degree bookkeeping
     enumeration for the complementary case."""
+    _require_positive(n=n)
     ring = Ring(("x", "y", "Y", "c"), field if field is not None else QQ)
     x, y, Y, c = ring.gens()
     transcript = []
@@ -382,6 +393,7 @@ def cmd_main_identities(n: int, field=None, degree_bound: int = 10) -> Verificat
 def cmd_degree_probe(n_max: int = 5, box: int = 5, names=DEFAULT_PROBE) -> VerificationReport:
     """Exhaustive weight probe: every nonzero integer weight in the box
     produces a probe element of negative degree, for every n."""
+    _require_positive(n=n_max, box=box)
     results = exhaustive_probe(range(1, n_max + 1), box, names)
     missing = [r for r in results if r["verdict"] != "witness"]
     transcript = [

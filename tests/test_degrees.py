@@ -1,6 +1,3 @@
-import random
-from itertools import product
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,19 +5,16 @@ from hypothesis import strategies as st
 from affmod import (
     LocalizedFraction,
     WeightDegree,
-    check_F0_properties,
     fraction,
-    negative_degree_implies_y_divisible,
     probe_nonnegativity,
     ring,
     valuation_degree,
     weight_degree,
 )
 from affmod.degrees import DEFAULT_PROBE, NEG_INF, exhaustive_probe
-from affmod.ideals import Ideal
 from affmod.poly import ZeroPolynomialError
 
-from conftest import poly_strategy, random_poly
+from conftest import poly_strategy
 
 RXY = ring("x", "y")
 weight_vec = st.tuples(
@@ -66,19 +60,10 @@ class TestValuationDegree:
         x, y = RXY.gens()
         t = x * y - 1
         f = LocalizedFraction(x**3, ((t, 2),))
-        assert f.denominator() == t**2
         assert valuation_degree(f, WeightDegree((1, 1))) == 3 - 2 * 2
 
     def test_zero_numerator(self):
         assert valuation_degree(fraction(RXY.zero(), RXY.var("x")), WeightDegree((1, 1))) == NEG_INF
-
-    def test_fraction_equality(self):
-        x, y = RXY.gens()
-        t = x**2 * y - 1
-        a = fraction((x - 1) * t, t, t)
-        b = fraction(x - 1, t)
-        assert a.equal(b)
-        assert not a.equal(fraction(x, t))
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroPolynomialError):
@@ -123,70 +108,3 @@ class TestProbe:
         results = exhaustive_probe([1, 2, 3], 3, names=("x", "y", "u"))
         gaps = [(r["n"], tuple(r["weight"])) for r in results if r["verdict"] == "no-witness"]
         assert gaps == [(1, (a, 0)) for a in range(1, 4)]
-
-
-class TestFiltration:
-    def _samples(self, seed=11, count=60):
-        rng = random.Random(seed)
-        return [
-            (random_poly(rng, RXY, max_terms=3, max_exp=3), random_poly(rng, RXY, max_terms=3, max_exp=3))
-            for _ in range(count)
-        ]
-
-    @pytest.mark.parametrize("w", [(1, -1), (1, -3), (2, -1), (0, 1)])
-    def test_no_violations_on_samples(self, w):
-        report = check_F0_properties(WeightDegree(w), self._samples())
-        assert report.ok and report.checked == 60
-
-    def test_handpicked_degree_zero_products(self):
-        x, y = RXY.gens()
-        w = WeightDegree((1, -2))
-        samples = [(x**2 * y - 1, x**2 * y + 5), (y, x), (x**2 * y, x**2 * y)]
-        assert check_F0_properties(w, samples).ok
-
-
-class TestYDivisibility:
-    def test_negative_degree_numerators_are_y_divisible(self):
-        x, y = RXY.gens()
-        for m in (1, 2, 3):
-            t = x**m * y - 1
-            h = fraction(y, t)  # deg = -m - 0 < 0
-            assert valuation_degree(h, WeightDegree((1, -m))) < 0
-            assert negative_degree_implies_y_divisible(m, h)
-
-    def test_vacuous_when_degree_nonnegative(self):
-        x, y = RXY.gens()
-        h = fraction(x - 1, x**2 * y - 1)
-        assert negative_degree_implies_y_divisible(2, h)
-
-    def test_sampled_localization_elements(self):
-        # random numerators over powers of t: whenever the degree is negative,
-        # every monomial of the numerator contains y
-        x, y = RXY.gens()
-        rng = random.Random(99)
-        hits = 0
-        for m in (1, 2):
-            t = x**m * y - 1
-            for _ in range(120):
-                num = random_poly(rng, RXY, max_terms=3, max_exp=3)
-                if num.is_zero:
-                    continue
-                # multiply in a y so the hypothesis class is represented too
-                if rng.random() < 0.5:
-                    num = num * y
-                h = LocalizedFraction(num, ((t, rng.randint(1, 3)),))
-                if valuation_degree(h, WeightDegree((1, -m))) < 0:
-                    if negative_degree_implies_y_divisible(m, h):
-                        hits += 1
-                    else:
-                        # a negative-degree element whose numerator is not in
-                        # (y) would be a counterexample; require membership
-                        # after clearing denominators inside the ideal (y, t)
-                        assert Ideal([y]).contains(num), (m, num)
-        assert hits > 10
-
-    def test_wrong_localization_rejected(self):
-        x, y = RXY.gens()
-        h = fraction(x, x * y - 1)
-        with pytest.raises(ValueError):
-            negative_degree_implies_y_divisible(2, h)

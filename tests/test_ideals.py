@@ -136,6 +136,15 @@ class TestIdealsEqual:
         b = Ideal([x - 1, y - 1], GREVLEX)
         assert ideals_equal(a, b)
 
+    def test_cross_order_bases_differ(self, rxy):
+        # the reduced bases are x - y^2 under lex and y^2 - x under grevlex
+        x, y = rxy.gens()
+        a = Ideal([x - y**2], LEX)
+        b = Ideal([3 * (y**2 - x)], GREVLEX)
+        assert a.groebner_basis != b.groebner_basis
+        assert ideals_equal(a, b) and ideals_equal(b, a)
+        assert not ideals_equal(a, Ideal([x - y**3], GREVLEX))
+
     def test_distinct_ideals(self, rxy):
         x, y = rxy.gens()
         assert not ideals_equal(Ideal([x]), Ideal([y]))

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from affmod import (
     ParseError,
-    format_expr,
+    format_fraction,
     format_poly,
     parse_fraction,
     parse_poly,
@@ -30,10 +30,6 @@ class TestParsePoly:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ParseError):
             parse_poly("x^-1", RXY)
-
-    def test_variable_list_accepted(self):
-        p = parse_poly("x*y + 2", ["x", "y"])
-        assert p == RXY.var("x") * RXY.var("y") + 2
 
     def test_implicit_multiplication_rejected(self):
         with pytest.raises(ParseError):
@@ -78,6 +74,32 @@ class TestParseFraction:
         with pytest.raises(ParseError):
             parse_fraction("x/y/2", RXY)
 
+    @pytest.mark.parametrize("parse, text, position", [
+        (parse_poly, "x/y", 1), (parse_poly, "(x/y)", 2), (parse_poly, "x*(y/2)", 4),
+        (parse_fraction, "x/y/2", 3), (parse_fraction, "(x/y)/2", 2),
+    ])
+    def test_slash_error_positions(self, parse, text, position):
+        with pytest.raises(ParseError) as exc:
+            parse(text, RXY)
+        assert exc.value.position == position
+
+
+DEEP = ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x", "(" * 3000]
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("text", DEEP, ids=["parens", "minus", "unclosed"])
+    def test_poly(self, text):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_poly(text, RXY)
+
+    @pytest.mark.parametrize("text", DEEP, ids=["parens", "minus", "unclosed"])
+    def test_fraction(self, text):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_fraction(text, RXY)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_fraction("x/" + text, RXY)
+
 
 class TestFormat:
     def test_examples(self):
@@ -88,7 +110,7 @@ class TestFormat:
 
     def test_fraction(self):
         f = parse_fraction("(x-1)/(x*y-1)", RXY)
-        assert format_expr(f) == "(x - 1)/(x*y - 1)"
+        assert format_fraction(f) == "(x - 1)/(x*y - 1)"
 
     @given(p=poly_strategy(RXYU))
     @settings(max_examples=200)

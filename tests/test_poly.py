@@ -14,7 +14,6 @@ from affmod import (
     linear_decompose,
     ring,
     squarefree_part,
-    weighted_order,
 )
 from affmod.poly import RingMismatchError, UnreliableCountError, ZeroPolynomialError
 from affmod.scalars import PrimeField
@@ -100,16 +99,6 @@ class TestLeadingTerm:
         x, y = rxy.gens()
         mono, _ = (x + y).leading(LEX)
         assert mono == (1, 0)
-
-    def test_weighted_picks_positive_weight_component(self, rxy):
-        # under weights (1, -m), x^m*y sits in weight 0 and x dominates it
-        m = 3
-        x, y = rxy.gens()
-        w = weighted_order(1, -m)
-        mono, _ = (x**m * y + x).leading(w)
-        assert mono == (1, 0)
-        mono, _ = (x**m * y).leading(w)
-        assert mono == (m, 1)
 
     def test_zero_rejected(self, rxy):
         with pytest.raises(ZeroPolynomialError):

@@ -7,7 +7,6 @@ from affmod import (
     Ideal,
     PresentedRing,
     RingMap,
-    b1_swap_automorphism,
     build_Bn,
     build_C1,
     build_C2,
@@ -130,16 +129,6 @@ class TestRingMaps:
                           images={k: v for k, v in m.images.items() if k != "v"})
         with pytest.raises(ValueError):
             verify_ring_map(partial)
-
-    def test_b1_swap_well_defined(self):
-        assert verify_ring_map(b1_swap_automorphism())
-
-    def test_b1_swap_is_involution(self):
-        m = b1_swap_automorphism()
-        b1 = m.source
-        for name in b1.ambient.variables:
-            twice = m.image_of(m.images[name])
-            assert b1.equal(twice, b1.ambient.var(name))
 
 
 class TestIrreducibility:

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from affmod import GREVLEX, Ideal, ideals_equal, ring
-from affmod.cli import FIELD_ENV_VAR, run
+from affmod.cli import FIELD_ENV_VAR, build_parser, run
 from affmod.report import VerificationReport, summarize
 from affmod.rings import build_C2, c1_alternate_ideal, c1_to_c2_map
-from affmod.scalars import PrimeField
+from affmod.scalars import PrimeField, field_from_spec
 from affmod.verifier import (
     CHECKS,
     cmd_degree_probe,
@@ -105,6 +105,22 @@ class TestVerifierCommands:
         assert failed == ["isomorphism-chain"]
 
 
+@pytest.mark.parametrize("value", [0, -2])
+@pytest.mark.parametrize("call, name", [
+    (lambda v: cmd_fibers(v), "n"),
+    (lambda v: cmd_samuel(v), "n"),
+    (lambda v: cmd_localization(v), "n"),
+    (lambda v: cmd_main_identities(v), "n"),
+    (lambda v: cmd_degree_probe(v, 1), "n"),
+    (lambda v: cmd_degree_probe(1, v), "box"),
+], ids=["fibers", "samuel", "localization", "main-identities", "degree-probe-n",
+        "degree-probe-box"])
+def test_cmd_rejects_sizes_below_one(call, name, value):
+    """Library callers get the check the CLI makes on --n and --box."""
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+        call(value)
+
+
 class TestMutatedFixtures:
     def test_sign_flipped_alternate_generator_changes_ideal(self):
         amb = c1_alternate_ideal().ring
@@ -185,9 +201,32 @@ class TestCli:
     def test_field_flag(self):
         assert run(["samuel", "--n", "1", "--field", "fp:101", "--quiet"]) == 0
 
-    def test_bad_field_spec(self):
-        with pytest.raises(ValueError):
+    def test_bad_field_spec(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             run(["samuel", "--field", "fp:4", "--quiet"])
+        assert exc.value.code == 2
+        assert "argument --field: bad field spec 'fp:4': not a prime: 4" in (
+            capsys.readouterr().err)
+        with pytest.raises(ValueError):
+            field_from_spec("fp:4")
+
+    @pytest.mark.parametrize("spec", ["fp:abc", "foo", "fp:1", "fp:2305843009213693953"])
+    def test_bad_field_spec_is_usage_error(self, capsys, spec):
+        with pytest.raises(SystemExit) as exc:
+            run(["localization", "--field", spec, "--quiet"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: affmod localization") and spec in err
+
+    def test_bad_field_env_default_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv(FIELD_ENV_VAR, "fp:4")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["localization"])
+        assert exc.value.code == 2
+        assert "not a prime: 4" in capsys.readouterr().err
+        # an explicit --field overrides the bad default
+        assert build_parser().parse_args(["localization", "--field", "fp:5"]).field == (
+            PrimeField(5))
 
     def test_field_env_default(self, monkeypatch):
         monkeypatch.setenv(FIELD_ENV_VAR, "fp:101")
