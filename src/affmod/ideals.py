@@ -1,7 +1,10 @@
 """Ideals, Buchberger's algorithm, normal forms, colength.
 
-The completion uses the normal pair-selection strategy (minimal lcm degree
-first) plus Buchberger's coprimality criterion.  The reduced basis is unique
+The completion uses the normal pair-selection strategy (least lcm first,
+by degree and then by the order) and the pair criteria of Gebauer and
+Moeller 1988, "On an installation of Buchberger's algorithm": the product
+(coprime) criterion, B, M and F.  A basis element whose leading monomial a
+newer element divides leaves the active basis.  The reduced basis is unique
 per order, so the output is canonical regardless of pair scheduling.
 """
 
@@ -65,29 +68,61 @@ def reduce_groebner_basis(basis, order: MonomialOrder):
 
 def buchberger_gb(gens, order: MonomialOrder = GREVLEX):
     """Reduced Groebner basis of the ideal generated by gens."""
-    G = [g.monic(order) for g in gens if not g.is_zero]
-    if not G:
-        return []
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    G = []  # every element ever added; pairs index into it
+    lms = []  # leading monomial of G[i]
+    active = []  # indices of G whose leading monomials are not redundant
+    pairs = {}  # (i, j) -> lcm of the leading monomials, i < j
 
-    def pair_rank(pair):
-        i, j = pair
-        lcm = mono_lcm(G[i].leading(order)[0], G[j].leading(order)[0])
+    def rank(pair):
+        lcm = pairs[pair]
         return (sum(lcm), order.key(lcm))
 
+    def update(h: MultiPoly):
+        """Add h to the basis and its useful pairs to ``pairs``: the
+        Gebauer-Moeller installation of a new element."""
+        k = len(G)
+        lm_h = h.leading(order)[0]
+        G.append(h)
+        lms.append(lm_h)
+        new = [(i, mono_lcm(lms[i], lm_h)) for i in active]
+        # M and F: keep (i, k) only if no other new pair's lcm divides its
+        # lcm; of pairs with equal lcms, one survives.  A pair with coprime
+        # leading monomials is kept here so that it can still eliminate
+        # others, then dropped (product criterion).
+        kept = []
+        for n, (i, lcm) in enumerate(new):
+            coprime = lcm == mono_mul(lms[i], lm_h)
+            if coprime or not any(
+                mono_divides(other, lcm)
+                for _, other in new[n + 1:] + kept
+            ):
+                kept.append((i, lcm))
+        # B: drop an old pair (i, j) when lm(h) divides its lcm and neither
+        # lcm(i, h) nor lcm(j, h) equals it.
+        for (i, j), lcm in list(pairs.items()):
+            if (
+                mono_divides(lm_h, lcm)
+                and mono_lcm(lms[i], lm_h) != lcm
+                and mono_lcm(lms[j], lm_h) != lcm
+            ):
+                del pairs[i, j]
+        for i, lcm in kept:
+            if lcm != mono_mul(lms[i], lm_h):
+                pairs[i, k] = lcm
+        active[:] = [i for i in active if not mono_divides(lm_h, lms[i])]
+        active.append(k)
+
+    for g in gens:
+        if not g.is_zero:
+            update(g.monic(order))
     while pairs:
-        i, j = min(pairs, key=pair_rank)
-        pairs.remove((i, j))
-        lm_i = G[i].leading(order)[0]
-        lm_j = G[j].leading(order)[0]
-        if mono_mul(lm_i, lm_j) == mono_lcm(lm_i, lm_j):
-            continue  # coprime leading monomials: S-poly reduces to zero
-        r = reduce_mod(s_polynomial(G[i], G[j], order), G, order)
+        i, j = min(pairs, key=rank)
+        del pairs[i, j]
+        basis = [G[a] for a in active]
+        r = reduce_mod(s_polynomial(G[i], G[j], order), basis, order)
         if not r.is_zero:
-            G.append(r.monic(order))
-            k = len(G) - 1
-            pairs.update((i2, k) for i2 in range(k))
-    return reduce_groebner_basis(G, order)
+            update(r.monic(order))
+    return reduce_groebner_basis([G[a] for a in active], order)
 
 
 class Ideal:

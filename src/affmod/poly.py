@@ -8,8 +8,10 @@ tuples.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from operator import le
 
 from .scalars import QQ, scalar_from_rational
 
@@ -104,15 +106,28 @@ class MonomialOrder:
             return (sum(mono), tuple(-e for e in reversed(mono)))
         raise ValueError(f"unknown order kind {self.kind!r}")
 
+    def heap_key(self, mono: Monomial):
+        """A flat key whose minimum is the order-maximal monomial, for the
+        min-heap of ``divide_multi``."""
+        if self.kind == "lex":
+            return tuple(-e for e in mono)
+        if self.kind == "grevlex":
+            return (-sum(mono),) + mono[::-1]
+        raise ValueError(f"unknown order kind {self.kind!r}")
+
 
 LEX = MonomialOrder("lex")
 GREVLEX = MonomialOrder("grevlex")
 
 
 class MultiPoly:
-    """Immutable sparse polynomial; terms map monomials to nonzero scalars."""
+    """Immutable sparse polynomial; terms map monomials to nonzero scalars.
 
-    __slots__ = ("ring", "terms", "_hash")
+    ``_lead`` caches the leading (monomial, coefficient) per order kind, so
+    each polynomial scans its terms at most once per order.
+    """
+
+    __slots__ = ("ring", "terms", "_hash", "_lead")
 
     def __init__(self, ring: Ring, terms: dict):
         zero = ring.field.zero
@@ -121,6 +136,7 @@ class MultiPoly:
             self, "terms", {m: c for m, c in terms.items() if c != zero}
         )
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_lead", None)
 
     # -- basic predicates ---------------------------------------------------
 
@@ -204,12 +220,17 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """Repeated squaring: about 2 log2(n) multiplications."""
         if n < 0:
             raise ValueError("negative exponent")
-        out = self.ring.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        out, base = None, self
+        while n:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return self.ring.one() if out is None else out
 
     def scale(self, c) -> "MultiPoly":
         f = self.ring.field
@@ -269,10 +290,17 @@ class MultiPoly:
 
     def leading(self, order: MonomialOrder):
         """Order-maximal (monomial, coefficient) pair."""
-        if self.is_zero:
-            raise ZeroPolynomialError("leading term of zero polynomial")
-        m = max(self.terms, key=order.key)
-        return m, self.terms[m]
+        cache = self._lead
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_lead", cache)
+        lead = cache.get(order.kind)
+        if lead is None:
+            if self.is_zero:
+                raise ZeroPolynomialError("leading term of zero polynomial")
+            m = max(self.terms, key=order.key)
+            lead = cache[order.kind] = (m, self.terms[m])
+        return lead
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "MultiPoly":
         if self.is_zero:
@@ -326,7 +354,16 @@ class MultiPoly:
 
 def divide_multi(p: MultiPoly, divisors, order: MonomialOrder):
     """Multivariate division: p = sum(q_i * g_i) + r, no monomial of r
-    divisible by any divisor's leading monomial."""
+    divisible by any divisor's leading monomial.
+
+    Each step takes the largest monomial m left and divides by the first
+    divisor whose leading monomial divides m; if none does, m goes to the
+    remainder.  The working polynomial is a mutable dict, and its monomials
+    sit in a heap with lazy deletion: a monomial whose coefficient cancels
+    stays in the heap and is skipped when popped (Monagan and Pearce 2007,
+    "Polynomial division using dynamic arrays, heaps, and packed exponent
+    vectors").
+    """
     divisors = list(divisors)
     if any(g.is_zero for g in divisors):
         raise ZeroPolynomialError("zero divisor in division")
@@ -334,24 +371,45 @@ def divide_multi(p: MultiPoly, divisors, order: MonomialOrder):
         p._check_ring(g)
     ring_ = p.ring
     f = ring_.field
-    lts = [g.leading(order) for g in divisors]
-    quotients = [ring_.zero() for _ in divisors]
+    add, mul = f.add, f.mul
+    hkey = order.heap_key
+    # per divisor: leading monomial, 1/lc, and the tail with negated coefficients
+    heads = []
+    for g in divisors:
+        lm, lc = g.leading(order)
+        tail = [(m, f.neg(c)) for m, c in g.terms.items() if m != lm]
+        heads.append((lm, f.inv(lc), tail))
+    quotients = [{} for _ in divisors]
     remainder = {}
-    work = p
-    while not work.is_zero:
-        m, c = work.leading(order)
-        for i, (lm, lc) in enumerate(lts):
-            if mono_divides(lm, m):
-                qm = mono_div(m, lm)
-                qc = f.mul(c, f.inv(lc))
-                qpoly = MultiPoly(ring_, {qm: qc})
-                quotients[i] = quotients[i] + qpoly
-                work = work - qpoly * divisors[i]
+    work = dict(p.terms)
+    heap = [(hkey(m), m) for m in work]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        m = pop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:  # cancelled, or a second heap entry of a term done
+            continue
+        for q, (lm, inv_lc, tail) in zip(quotients, heads):
+            if all(map(le, lm, m)):
+                qm = tuple([a - b for a, b in zip(m, lm)])
+                qc = q[qm] = mul(c, inv_lc)
+                for tm, tc in tail:
+                    nm = tuple([a + b for a, b in zip(qm, tm)])
+                    old = work.get(nm)
+                    if old is None:
+                        work[nm] = mul(qc, tc)
+                        push(heap, (hkey(nm), nm))
+                    else:
+                        new = add(old, mul(qc, tc))
+                        if new:
+                            work[nm] = new
+                        else:
+                            del work[nm]
                 break
         else:
-            remainder[m] = f.add(remainder.get(m, f.zero), c)
-            work = work - MultiPoly(ring_, {m: c})
-    return quotients, MultiPoly(ring_, remainder)
+            remainder[m] = c
+    return [MultiPoly(ring_, q) for q in quotients], MultiPoly(ring_, remainder)
 
 
 def reduce_mod(p: MultiPoly, divisors, order: MonomialOrder) -> MultiPoly:

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from affmod import Ring, ring
+from affmod import GREVLEX, LEX, QQ, PrimeField, Ring, ring
+from affmod.poly import MultiPoly
 
 
 @pytest.fixture
@@ -36,8 +37,6 @@ def poly_strategy(r: Ring, max_terms=5, max_exp=4, max_coef=6):
     )
 
     def build(terms):
-        from affmod.poly import MultiPoly
-
         out = {}
         fld = r.field
         for c, mono in terms:
@@ -47,3 +46,33 @@ def poly_strategy(r: Ring, max_terms=5, max_exp=4, max_coef=6):
         return MultiPoly(r, out)
 
     return st.lists(term, max_size=max_terms).map(build)
+
+
+FIELDS = (QQ, PrimeField(7), PrimeField(101))
+ORDERS = (GREVLEX, LEX)
+
+
+def _bounded_poly(draw, r: Ring, max_terms: int, max_degree: int, max_coef=5):
+    """Integer-coefficient polynomial with at most max_terms terms, each of
+    total degree at most max_degree."""
+    out = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e = [0] * r.nvars
+        for i in draw(st.lists(st.integers(0, r.nvars - 1), max_size=max_degree)):
+            e[i] += 1
+        c = r.field.from_int(draw(st.integers(-max_coef, max_coef)))
+        out[tuple(e)] = r.field.add(out.get(tuple(e), r.field.zero), c)
+    return MultiPoly(r, out)
+
+
+@st.composite
+def polys_over_fields(draw, counts=(1, 3), max_terms=3, max_degree=3, nvars=(2, 4)):
+    """(ring, order, polys): a random field among FIELDS, a random order among
+    ORDERS, and counts[0]..counts[1] bounded polynomials in nvars[0]..nvars[1]
+    variables."""
+    n = draw(st.integers(*nvars))
+    r = Ring(tuple("xyzw"[:n]), draw(st.sampled_from(FIELDS)))
+    order = draw(st.sampled_from(ORDERS))
+    polys = [_bounded_poly(draw, r, max_terms, max_degree)
+             for _ in range(draw(st.integers(*counts)))]
+    return r, order, polys

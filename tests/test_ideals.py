@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from affmod import (
     GREVLEX,
@@ -20,7 +20,7 @@ from affmod.ideals import s_polynomial
 from affmod.poly import RingMismatchError, reduce_mod
 from affmod.scalars import PrimeField
 
-from conftest import poly_strategy, random_poly
+from conftest import poly_strategy, polys_over_fields, random_poly
 from naive_gb import naive_buchberger
 
 RXY = ring("x", "y")
@@ -87,6 +87,55 @@ class TestBuchberger:
         x, y = r5.gens()
         gb = buchberger_gb([x**2 * y - 1, x - 1], LEX)
         assert gb == [x - 1, y - 1]
+
+
+def _monic_terms(terms: dict, order, p: int) -> frozenset:
+    lead = terms[max(terms, key=order.key)]
+    inv = pow(lead, -1, p) if p else 1 / lead
+    return frozenset((m, c * inv % p if p else c * inv) for m, c in terms.items())
+
+
+def _sympy_basis(sympy, r, order, gens) -> set:
+    """sympy's reduced basis of gens, as monic term sets."""
+    syms = sympy.symbols(r.variables)
+    p = r.field.char
+    exprs = []
+    for g in gens:
+        terms = ((m, Fraction(c)) for m, c in g.terms.items())
+        exprs.append(sum(sympy.Rational(c.numerator, c.denominator)
+                         * sympy.prod([v**e for v, e in zip(syms, m)])
+                         for m, c in terms))
+    kwargs = {"modulus": p} if p else {"domain": sympy.QQ}
+    basis = set()
+    for poly in sympy.groebner(exprs, *syms, order=order.kind, **kwargs).polys:
+        terms = {}
+        for m, c in poly.as_dict().items():
+            c = sympy.Rational(c)
+            terms[m] = int(c) % p if p else Fraction(int(c.p), int(c.q))
+        basis.add(_monic_terms(terms, order, p))
+    return basis
+
+
+class TestEngineDifferential:
+    """buchberger_gb against engines that share no code with it: random
+    ideals in 2-4 variables over QQ, GF(7) and GF(101), grevlex and lex."""
+
+    @given(case=polys_over_fields(max_terms=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dict_oracle(self, case):
+        _, order, gens = case
+        assert buchberger_gb(gens, order) == naive_buchberger(gens, order)
+
+    @given(case=polys_over_fields())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sympy(self, case):
+        sympy = pytest.importorskip("sympy")
+        r, order, gens = case
+        gens = [g for g in gens if not g.is_zero]
+        assume(gens)
+        gb = buchberger_gb(gens, order)
+        assert {frozenset(g.terms.items()) for g in gb} == _sympy_basis(
+            sympy, r, order, gens)
 
 
 class TestIdeal:

@@ -1,8 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import assume, given, settings
 
 import affmod as am
 from affmod import (
@@ -15,10 +14,16 @@ from affmod import (
     ring,
     squarefree_part,
 )
-from affmod.poly import RingMismatchError, UnreliableCountError, ZeroPolynomialError
-from affmod.scalars import PrimeField
+from affmod.poly import (
+    RingMismatchError,
+    UnreliableCountError,
+    ZeroPolynomialError,
+    mono_divides,
+)
+from affmod.scalars import QQ, PrimeField
 
-from conftest import poly_strategy
+from conftest import poly_strategy, polys_over_fields
+from naive_gb import ORDER_KEYS, divide
 
 RXY = ring("x", "y")
 RXYU = ring("x", "y", "u")
@@ -122,22 +127,40 @@ class TestDivision:
         qs, r = divide_multi(g, [g], GREVLEX)
         assert qs == [rxy.one()] and r.is_zero
 
-    @given(
-        p=poly_strategy(RXY),
-        divisors=st.lists(poly_strategy(RXY), min_size=1, max_size=3),
-    )
-    @settings(max_examples=100)
-    def test_reconstruction(self, p, divisors):
+    @given(case=polys_over_fields(counts=(2, 4), max_terms=6, max_degree=4))
+    @settings(max_examples=200, deadline=None)
+    def test_reconstruction(self, case):
+        """p = sum q_i g_i + r with no term of r divisible by a leading
+        monomial, over QQ and GF(p) in lex and grevlex; and the quotients and
+        remainder are term for term those of the plain-dict division that
+        uses the same first-divisor rule."""
+        r, order, (p, *divisors) = case
         divisors = [d for d in divisors if not d.is_zero]
-        if not divisors:
-            return
-        qs, r = divide_multi(p, divisors, GREVLEX)
-        assert sum((q * d for q, d in zip(qs, divisors)), r) == p
-        lead_monos = [d.leading(GREVLEX)[0] for d in divisors]
-        from affmod.poly import mono_divides
+        assume(divisors)
+        qs, rem = divide_multi(p, divisors, order)
+        assert sum((q * d for q, d in zip(qs, divisors)), rem) == p
+        lead_monos = [d.leading(order)[0] for d in divisors]
+        assert not any(mono_divides(lm, m) for lm in lead_monos for m in rem.terms)
+        ref_qs, ref_rem = divide(dict(p.terms), [dict(d.terms) for d in divisors],
+                                 ORDER_KEYS[order.kind], r.field.char)
+        assert [q.terms for q in qs] == ref_qs
+        assert rem.terms == ref_rem
 
-        for mono in r.terms:
-            assert not any(mono_divides(lm, mono) for lm in lead_monos)
+
+class TestPower:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(101)])
+    def test_matches_repeated_multiplication(self, field):
+        r = ring("x", "y", field=field)
+        x, y = r.gens()
+        for p in (2 * x * y - x + 3, x, r.zero(), r.const(5)):
+            expected = r.one()
+            for k in range(13):
+                assert p**k == expected
+                expected = expected * p
+
+    def test_negative_exponent_rejected(self, rxy):
+        with pytest.raises(ValueError):
+            rxy.var("x") ** -1
 
 
 class TestUnivariateGcd:
