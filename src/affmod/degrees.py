@@ -82,9 +82,12 @@ class ProbeResult:
 DEFAULT_PROBE = ("x", "y", "u", "v")
 
 
-def probe_elements(n: int, ring: Ring, names=DEFAULT_PROBE) -> dict:
+def probe_elements(n: int, names=DEFAULT_PROBE) -> dict:
     """The probe set on B_n: x, y, and the adjoined fractions
     u = (x-1)/(x^n*y-1) and v = (y-1)/(x^n*y-1)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    ring = Ring(("x", "y"))
     x, y = ring.var("x"), ring.var("y")
     t = x**n * y - 1
     available = {
@@ -96,19 +99,17 @@ def probe_elements(n: int, ring: Ring, names=DEFAULT_PROBE) -> dict:
     return {name: available[name] for name in names}
 
 
-def probe_nonnegativity(n: int, w: WeightDegree, names=DEFAULT_PROBE) -> ProbeResult:
-    """Find a probe element of negative degree under w, if any.
+def probe_nonnegativity(elements: dict, w: WeightDegree) -> ProbeResult:
+    """Find a probe element of negative degree under w, if any, trying the
+    elements built by probe_elements in order.
 
     Every nonzero weight admits a witness (the finitary face of the
     degree-rigidity statement); the restricted probe without v misses the
     weight (1, 0) at n = 1, which is why "no-witness" is representable.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if w.is_trivial():
         return ProbeResult("trivial-ok")
-    ring = Ring(("x", "y"))
-    for name, elt in probe_elements(n, ring, names).items():
+    for name, elt in elements.items():
         d = valuation_degree(elt, w)
         if d < 0:
             return ProbeResult("witness", witness=name, degree=d)
@@ -122,10 +123,11 @@ def exhaustive_probe(n_values, box: int, names=DEFAULT_PROBE) -> list:
     """
     results = []
     for n in n_values:
+        elements = probe_elements(n, names)
         for a, b in product(range(-box, box + 1), repeat=2):
             if (a, b) == (0, 0):
                 continue
-            r = probe_nonnegativity(n, WeightDegree((a, b)), names)
+            r = probe_nonnegativity(elements, WeightDegree((a, b)))
             results.append(
                 {
                     "n": n,

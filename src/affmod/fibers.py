@@ -12,12 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import (
-    MultiPoly,
-    UnreliableCountError,
-    distinct_root_count,
-    linear_decompose,
-)
+from .poly import MultiPoly, distinct_root_count, linear_decompose
 from .scalars import QQ, scalar_from_rational
 
 
@@ -82,10 +77,7 @@ def union(parts) -> CurveClass:
 
 
 def _classify_univariate(p: MultiPoly, v: str) -> CurveClass:
-    try:
-        r = distinct_root_count(p, v)
-    except UnreliableCountError as e:
-        return unknown(str(e))
+    r = distinct_root_count(p, v)
     if r == 0:
         return EMPTY  # nonzero constant (or rootless unit-like factor)
     return union([AFFINE_LINE] * r)
@@ -120,19 +112,16 @@ def classify_curve(p: MultiPoly) -> CurveClass:
     _, _, dec = min(candidates, key=lambda t: (t[0], t[1]))
 
     components = []
-    try:
-        if not dec.common.is_constant():
-            w = dec.common.variables_present()[0]
-            components.extend([AFFINE_LINE] * distinct_root_count(dec.common, w))
-        if dec.d_prime.is_zero:
-            components.append(AFFINE_LINE)  # the line v = 0
-        elif dec.c_prime.is_constant():
-            components.append(AFFINE_LINE)
-        else:
-            w = dec.c_prime.variables_present()[0]
-            components.append(punctured_line(distinct_root_count(dec.c_prime, w)))
-    except UnreliableCountError as e:
-        return unknown(str(e))
+    if not dec.common.is_constant():
+        w = dec.common.variables_present()[0]
+        components.extend([AFFINE_LINE] * distinct_root_count(dec.common, w))
+    if dec.d_prime.is_zero:
+        components.append(AFFINE_LINE)  # the line v = 0
+    elif dec.c_prime.is_constant():
+        components.append(AFFINE_LINE)
+    else:
+        w = dec.c_prime.variables_present()[0]
+        components.append(punctured_line(distinct_root_count(dec.c_prime, w)))
     return union(components)
 
 

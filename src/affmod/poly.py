@@ -26,10 +26,6 @@ class ZeroPolynomialError(ValueError):
     pass
 
 
-class UnreliableCountError(ValueError):
-    """Raised when distinct-root counting is unsound (characteristic p)."""
-
-
 @dataclass(frozen=True)
 class Ring:
     """An ambient polynomial ring: ordered variable names over a field."""
@@ -461,22 +457,33 @@ def gcd_univariate(p: MultiPoly, q: MultiPoly, v: str) -> MultiPoly:
 def squarefree_part(p: MultiPoly, v: str) -> MultiPoly:
     """Monic product of the distinct irreducible factors of p in k[v].
 
-    In characteristic p, degrees at or above the characteristic can hide
-    p-th-power factors from the derivative test, so those cases are refused.
+    Over GF(q) a factor whose multiplicity q divides has zero derivative, so
+    it stays whole in gcd(p, p') and is taken from there; if p' = 0, then
+    p = g(v^q) = g(v)^q, since c^q = c on GF(q) (Yun 1976; Knuth, TAOCP
+    vol. 2, 4.6.2).
     """
     if p.is_zero:
         raise ZeroPolynomialError("squarefree part of zero")
     _require_univariate(p, v)
-    char = p.ring.field.char
-    d = p.degree_in(v)
-    if char and d >= char:
-        raise UnreliableCountError(
-            f"squarefree count unreliable: degree {d} >= characteristic {char}"
-        )
-    if d <= 0:
+    if p.degree_in(v) <= 0:
         return p.ring.one()
-    g = gcd_univariate(p, derivative(p, v), v)
-    return exact_div(p, g, LEX).monic(LEX)
+    char = p.ring.field.char
+    dp = derivative(p, v)
+    if char and dp.is_zero:
+        i = p.ring.index(v)
+        root = {m[:i] + (m[i] // char,) + m[i + 1:]: c for m, c in p.terms.items()}
+        return squarefree_part(MultiPoly(p.ring, root), v)
+    g = gcd_univariate(p, dp, v)
+    part = exact_div(p, g, LEX).monic(LEX)
+    if char:
+        # strip the factors of part from g, doubling the powers taken each
+        # round; what is left is the q-th power of the factors part lacks
+        w = gcd_univariate(part, g, v)
+        while w.degree_in(v) > 0:
+            g = exact_div(g, w, LEX)
+            w = gcd_univariate(w * w, g, v)
+        part = part * squarefree_part(g, v)
+    return part
 
 
 def distinct_root_count(p: MultiPoly, v: str) -> int:

@@ -33,7 +33,7 @@ from affmod import (
     union,
     weight_degree,
 )
-from affmod.degrees import exhaustive_probe
+from affmod.degrees import exhaustive_probe, probe_elements
 from affmod.fibers import fiber_table
 from affmod.poly import exact_div, reduce_mod
 from affmod.rings import build_C1, build_C2, c1_alternate_ideal, c1_to_c2_map
@@ -197,9 +197,9 @@ def test_4_degree_rigidity_weight_probe():
         assert len(results) == 5 * (11 * 11 - 1)
         assert all(r["verdict"] == "witness" for r in results)
         # regression fixture: the probe without v misses exactly this weight
-        r = probe_nonnegativity(1, WeightDegree((1, 0)), names=("x", "y", "u"))
+        r = probe_nonnegativity(probe_elements(1, ("x", "y", "u")), WeightDegree((1, 0)))
         assert r.verdict == "no-witness"
-        r = probe_nonnegativity(1, WeightDegree((1, 0)))
+        r = probe_nonnegativity(probe_elements(1), WeightDegree((1, 0)))
         assert r.verdict == "witness" and r.witness == "v"
 
 

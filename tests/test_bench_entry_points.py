@@ -53,25 +53,43 @@ CYCLIC4 = ["a + b + c + d", "a*b + b*c + c*d + d*a",
            "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1"]
 
 
+def _traced(fn):
+    """Run fn under the benchmark's SpanTracer; its result and the summary."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.SpanTracer()
+    tracer.install()
+    try:
+        result = fn()
+    finally:
+        tracer.uninstall()
+    return result, tracer.summary()
+
+
 def test_tracer_sees_buchberger_work():
     """The traced groebner-std run fails unless it counts S-polynomials, zero
     reductions and divisions; the tracer counts them by patching
     s_polynomial, reduce_mod and divide_multi, and counts only reductions
     called directly from buchberger_gb."""
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
     ideals = importlib.import_module("affmod.ideals")
     r = ring("a", "b", "c", "d")
     gens = [parse_poly(text, r) for text in CYCLIC4]
-    tracer = tracing.SpanTracer()
-    tracer.install()
-    try:
-        gb = ideals.buchberger_gb(gens, GREVLEX)
-    finally:
-        tracer.uninstall()
-    summary = tracer.summary()
+    gb, summary = _traced(lambda: ideals.buchberger_gb(gens, GREVLEX))
     assert len(gb) == 7
     for counter in ("ideals.spolys", "ideals.reductions", "ideals.zero_reductions"):
         assert summary["counters"].get(counter, 0) > 0, counter
     assert summary["calls"].get("poly.divide_multi", 0) > 0
+
+
+def test_tracer_sees_degree_probe_work():
+    """The traced scaled-params run fails unless probe_nonnegativity,
+    probe_elements and valuation_degree all record work: one probe per
+    nonzero weight, one element build per n."""
+    verifier = importlib.import_module("affmod.verifier")
+    rep, summary = _traced(lambda: verifier.cmd_degree_probe(n_max=2, box=2))
+    assert rep.status == "verified"
+    calls = summary["calls"]
+    assert calls.get("degrees.probe_nonnegativity") == 2 * (5 * 5 - 1)
+    assert calls.get("degrees.probe_elements") == 2
+    assert calls.get("degrees.valuation_degree", 0) > 0

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,8 @@ from affmod import (
     valuation_degree,
     weight_degree,
 )
-from affmod.degrees import DEFAULT_PROBE, NEG_INF, exhaustive_probe
+from affmod import degrees
+from affmod.degrees import DEFAULT_PROBE, NEG_INF, exhaustive_probe, probe_elements
 from affmod.poly import ZeroPolynomialError
 
 from conftest import poly_strategy
@@ -72,29 +75,29 @@ class TestValuationDegree:
 
 class TestProbe:
     def test_trivial_weight(self):
-        assert probe_nonnegativity(2, WeightDegree((0, 0))).verdict == "trivial-ok"
+        assert probe_nonnegativity(probe_elements(2), WeightDegree((0, 0))).verdict == "trivial-ok"
 
     def test_simple_witnesses(self):
-        r = probe_nonnegativity(2, WeightDegree((-1, 0)))
+        r = probe_nonnegativity(probe_elements(2), WeightDegree((-1, 0)))
         assert r.verdict == "witness" and r.witness == "x" and r.degree == -1
-        r = probe_nonnegativity(2, WeightDegree((0, -3)))
+        r = probe_nonnegativity(probe_elements(2), WeightDegree((0, -3)))
         assert r.verdict == "witness" and r.witness == "y"
 
     def test_u_witness(self):
         # weights (1, 0): deg u = 1 - n < 0 once n >= 2
-        r = probe_nonnegativity(3, WeightDegree((1, 0)))
+        r = probe_nonnegativity(probe_elements(3), WeightDegree((1, 0)))
         assert r.verdict == "witness" and r.witness == "u" and r.degree == -2
 
     def test_n1_needs_v(self):
         w = WeightDegree((1, 0))
-        full = probe_nonnegativity(1, w)
+        full = probe_nonnegativity(probe_elements(1), w)
         assert full.verdict == "witness" and full.witness == "v"
-        restricted = probe_nonnegativity(1, w, names=("x", "y", "u"))
+        restricted = probe_nonnegativity(probe_elements(1, ("x", "y", "u")), w)
         assert restricted.verdict == "no-witness"
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
-            probe_nonnegativity(0, WeightDegree((1, 1)))
+            probe_elements(0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_exhaustive_box(self, n):
@@ -103,6 +106,26 @@ class TestProbe:
         for r in results:
             assert r["verdict"] in ("witness",), r
             assert r["degree"] < 0
+
+    @pytest.mark.parametrize("names", [DEFAULT_PROBE, ("x", "y", "u")])
+    def test_elements_built_once_per_n(self, monkeypatch, names):
+        built = []
+
+        def counting(n, names=DEFAULT_PROBE):
+            built.append(n)
+            return probe_elements(n, names)
+
+        monkeypatch.setattr(degrees, "probe_elements", counting)
+        results = exhaustive_probe(range(1, 5), 4, names)
+        assert built == [1, 2, 3, 4]
+        # oracle: the elements rebuilt for every weight
+        oracle = []
+        for n, a, b in product(range(1, 5), range(-4, 5), range(-4, 5)):
+            if (a, b) != (0, 0):
+                r = probe_nonnegativity(probe_elements(n, names), WeightDegree((a, b)))
+                oracle.append({"n": n, "weight": [a, b], "verdict": r.verdict,
+                               "witness": r.witness, "degree": r.degree})
+        assert results == oracle
 
     def test_restricted_probe_gap_is_exactly_n1_positive_axis(self):
         results = exhaustive_probe([1, 2, 3], 3, names=("x", "y", "u"))

@@ -91,10 +91,13 @@ class TestClassify:
             moved = p.substitute({"x": x + 3, "y": y - 2})
             assert classify_curve(moved) == classify_curve(p)
 
-    def test_char_p_refusal_is_unknown(self):
+    def test_char_p_degree_at_least_p_is_decided(self):
         r5 = ring("x", "y", field=PrimeField(5))
         x, y = r5.gens()
-        assert classify_curve(x**5 * y - 1).kind == "unknown"
+        assert classify_curve(x**5 * y - 1) == punctured_line(1)
+        assert classify_curve(x**6 * y - x) == union([AFFINE_LINE, punctured_line(1)])
+        # x^5 - 1 = (x - 1)^5 over GF(5): one line, not five
+        assert classify_curve(x**5 - 1) == AFFINE_LINE
 
 
 class TestFiberPoly:

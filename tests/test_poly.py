@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import affmod as am
 from affmod import (
@@ -16,8 +17,8 @@ from affmod import (
 )
 from affmod.poly import (
     RingMismatchError,
-    UnreliableCountError,
     ZeroPolynomialError,
+    derivative,
     mono_divides,
 )
 from affmod.scalars import QQ, PrimeField
@@ -212,11 +213,59 @@ class TestSquarefree:
             p, "x"
         ) + distinct_root_count(q, "x")
 
-    def test_char_p_refuses_high_degree(self):
+    def test_char_p_decides_high_degree(self):
         r5 = ring("x", "y", field=PrimeField(5))
         x, _ = r5.gens()
-        with pytest.raises(UnreliableCountError):
-            distinct_root_count(x**5 - x, "x")
+        assert distinct_root_count(x**5 - x, "x") == 5
+        assert distinct_root_count(x**5, "x") == 1
+        assert distinct_root_count(x**5 * (x - 1) ** 7, "x") == 2
+
+    def test_char_p_zero_derivative(self):
+        # x^6 + 2 = (x^2 - 1)^3 over GF(3): f' = 0, so rad f = rad(x^2 - 1)
+        r3 = ring("x", "y", field=PrimeField(3))
+        x, _ = r3.gens()
+        f = x**6 + 2
+        assert derivative(f, "x").is_zero
+        assert squarefree_part(f, "x") == x**2 - 1
+        assert squarefree_part(x**9, "x") == x
+
+    def test_char_p_mixed_multiplicities(self):
+        r5 = ring("x", "y", field=PrimeField(5))
+        x, _ = r5.gens()
+        f = x * (x - 1) ** 2 * (x - 2) ** 3 * (x**2 + 2) ** 4
+        assert squarefree_part(f, "x") == x * (x - 1) * (x - 2) * (x**2 + 2)
+
+    def test_char_p_multiplicity_divisible_by_p(self):
+        # (x-1)^3 has zero derivative in GF(3) and hides from f / gcd(f, f')
+        r3 = ring("x", "y", field=PrimeField(3))
+        x, _ = r3.gens()
+        f = (x - 1) ** 3 * (x + 1)
+        assert squarefree_part(f, "x") == x**2 - 1
+        f = (x - 1) ** 6 * x**2 * (x + 1) ** 9
+        assert squarefree_part(f, "x") == x * (x**2 - 1)
+
+    @given(
+        char=st.sampled_from([2, 3, 5, 7]),
+        factors=st.lists(
+            st.tuples(st.lists(st.integers(0, 6), min_size=1, max_size=4),
+                      st.integers(1, 10)),
+            min_size=1, max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_char_p_matches_sympy(self, char, factors):
+        """Products of powers of random polynomials against sympy's
+        squarefree decomposition over GF(p)."""
+        sympy = pytest.importorskip("sympy")
+        r = ring("x", "y", field=PrimeField(char))
+        x, _ = r.gens()
+        f = r.one()
+        for coeffs, e in factors:
+            f = f * sum((c * x**i for i, c in enumerate(coeffs)), r.zero()) ** e
+        assume(not f.is_zero)
+        dense = [f.coefficient_in("x", i).constant_value()
+                 for i in range(f.degree_in("x"), -1, -1)]
+        _, parts = sympy.Poly(dense, sympy.Symbol("x"), modulus=char).sqf_list()
+        assert distinct_root_count(f, "x") == sum(g.degree() for g, _ in parts)
 
     def test_char_p_low_degree_ok(self):
         r5 = ring("x", "y", field=PrimeField(5))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -261,7 +262,8 @@ ALL_CLAIM_IDS = sorted(
 @pytest.mark.parametrize("spec", ["rational", "fp:101", "fp:3", "fp:2"])
 def test_all_entry_point_smoke(tmp_path, spec):
     """`python -m affmod.cli all --json PATH` in a fresh interpreter: every
-    claim reported, only the deliberate red failed, no traceback."""
+    claim reported, only the deliberate red failed, every other claim
+    verified (characteristic 2 and 3 included), no traceback."""
     path = tmp_path / "report.jsonl"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -276,3 +278,4 @@ def test_all_entry_point_smoke(tmp_path, spec):
     assert [r["claim_id"] for r in reports if r["status"] == "failed"] == [
         "isomorphism-chain"
     ]
+    assert Counter(r["status"] for r in reports) == {"verified": 21, "failed": 1}
