@@ -40,7 +40,6 @@ from .rings import (
     build_Bn,
     build_C1,
     build_C2,
-    build_modification,
     samuel_check,
     verify_ring_map,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from .poly import MultiPoly, Ring, ZeroPolynomialError
 
@@ -22,17 +23,15 @@ class WeightDegree:
 
     weights: tuple
 
-    def is_trivial(self) -> bool:
-        return all(w == 0 for w in self.weights)
-
 
 def weight_degree(p: MultiPoly, w: WeightDegree):
     """Max weight over the monomials of p; -inf for the zero polynomial."""
-    if len(w.weights) != p.ring.nvars:
+    weights = w.weights
+    if len(weights) != len(p.ring.variables):
         raise ValueError("weight vector length does not match ring")
-    if p.is_zero:
+    if not p.terms:
         return NEG_INF
-    return max(sum(wi * e for wi, e in zip(w.weights, m)) for m in p.terms)
+    return max([sum(map(mul, weights, m)) for m in p.terms])
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ def probe_nonnegativity(elements: dict, w: WeightDegree) -> ProbeResult:
     degree-rigidity statement); the restricted probe without v misses the
     weight (1, 0) at n = 1, which is why "no-witness" is representable.
     """
-    if w.is_trivial():
+    if not any(w.weights):
         return ProbeResult("trivial-ok")
     for name, elt in elements.items():
         d = valuation_degree(elt, w)

@@ -9,6 +9,7 @@ tuples.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from operator import le
@@ -340,10 +341,6 @@ class MultiPoly:
             out = out + term
         return out
 
-    def in_ring(self, target: Ring) -> "MultiPoly":
-        """Re-express this polynomial in another ring, matching variable names."""
-        return self.substitute({}, target=target)
-
 
 # -- module-level operations ------------------------------------------------
 
@@ -443,15 +440,98 @@ def derivative(p: MultiPoly, v: str) -> MultiPoly:
     return MultiPoly(p.ring, out)
 
 
+def _dense(p: MultiPoly, char: int) -> list:
+    """Integer coefficient list of p, univariate, lowest degree first and
+    without leading zeros; over QQ (char 0) the denominators are cleared."""
+    terms = p.terms
+    if not char:
+        den = math.lcm(*[c.denominator for c in terms.values()])
+    coeffs = [0] * (max(map(sum, terms), default=-1) + 1)
+    for m, c in terms.items():
+        # the total degree is the degree in the variable
+        coeffs[sum(m)] = c if char else c.numerator * (den // c.denominator)
+    return coeffs
+
+
+def _normalize(a: list, char: int) -> list:
+    """The primitive part of a over ZZ (char 0), its monic multiple over
+    GF(char)."""
+    if char:
+        inv = pow(a[-1], -1, char)
+        return [c * inv % char for c in a]
+    g = math.gcd(*a)
+    return [c // g for c in a]
+
+
+def _remainder(a: list, b: list, char: int) -> list:
+    """a mod b over GF(char), b monic; over ZZ (char 0) a pseudo-remainder,
+    a nonzero integer multiple of a mod b."""
+    a = a[:]
+    db, lb = len(b) - 1, b[-1]
+    while len(a) > db:
+        la = a.pop()
+        if not la:
+            continue
+        shift = len(a) - db
+        if char:
+            for k in range(db):
+                a[shift + k] = (a[shift + k] - la * b[k]) % char
+            continue
+        q, r = divmod(la, lb)
+        if r:  # scale a by lb, so that lb divides its leading coefficient
+            q = la
+            a = [lb * c for c in a]
+        for k in range(db):
+            a[shift + k] -= q * b[k]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _vanishes_at_root(a: list, b: list, char: int) -> bool:
+    """Whether the linear b = b1*v + b0 divides a, by the remainder theorem:
+    a(-b0/b1) = 0, evaluated from a's nonzero coefficients."""
+    (b0, b1), d = b, len(a) - 1
+    if char:
+        root = -b0 * pow(b1, -1, char)
+        return not sum(c * pow(root, k, char) for k, c in enumerate(a) if c) % char
+    # b1^d * a(-b0/b1), kept in integers
+    return not sum(c * (-b0) ** k * b1 ** (d - k) for k, c in enumerate(a) if c)
+
+
 def gcd_univariate(p: MultiPoly, q: MultiPoly, v: str) -> MultiPoly:
-    """Monic gcd of polynomials univariate in v (constants allowed)."""
+    """Monic gcd of polynomials univariate in v (constants allowed).
+
+    Euclid runs on dense integer coefficient lists: over QQ on primitive
+    parts and pseudo-remainders (the primitive PRS; Collins 1967, Brown
+    1971), over GF(p) on monic remainders.  A linear divisor ends it by the
+    remainder theorem.
+    """
     if p.is_zero and q.is_zero:
         raise ZeroPolynomialError("gcd(0, 0)")
     _require_univariate(p, v)
     _require_univariate(q, v)
-    while not q.is_zero:
-        p, q = q, reduce_mod(p, [q], LEX)
-    return p.monic(LEX)
+    p._check_ring(q)
+    ring_ = p.ring
+    char = ring_.field.char
+    a, b = _dense(p, char), _dense(q, char)
+    while b:
+        b = _normalize(b, char)
+        if len(b) == 1:
+            a = b
+            break
+        if len(b) == 2:
+            a = b if _vanishes_at_root(a, b, char) else [1]
+            break
+        a, b = b, _remainder(a, b, char)
+    if len(a) == 1:
+        return ring_.one()
+    a = _normalize(a, char)
+    lc = a[-1]
+    zero = (0,) * ring_.nvars
+    i = ring_.index(v)
+    return MultiPoly(ring_, {zero[:i] + (k,) + zero[i + 1:]: c if char else Fraction(c, lc)
+                             for k, c in enumerate(a) if c})
 
 
 def squarefree_part(p: MultiPoly, v: str) -> MultiPoly:
@@ -499,11 +579,6 @@ class LinearDecomposition:
     common: MultiPoly
     c_prime: MultiPoly
     d_prime: MultiPoly
-
-    def reconstruct(self) -> MultiPoly:
-        ring_ = self.common.ring
-        v = ring_.var(self.variable)
-        return self.common * (self.c_prime * v + self.d_prime)
 
 
 def linear_decompose(p: MultiPoly, v: str) -> LinearDecomposition:

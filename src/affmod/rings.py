@@ -1,5 +1,5 @@
-"""Presented rings: affine modifications A[b/a], the rings built from the
-relation u*(x^n*y - 1) = x - 1, the two four-variable presentations of the
+"""Presented rings: the affine modifications built from the relation
+u*(x^n*y - 1) = x - 1, the two four-variable presentations of the
 blown-up plane surfaces, ring maps between presentations, and the
 hypothesis checks behind Samuel's UFD criterion.
 """
@@ -32,25 +32,9 @@ class PresentedRing:
         return self.normal_form(p - q).is_zero
 
 
-def build_modification(a: MultiPoly, b: MultiPoly) -> PresentedRing:
-    """The ring A[b/a] presented as k[x, y, u] / (a*u - b)."""
-    if a.is_zero or a.is_constant():
-        raise ValueError("a must be a nonzero non-unit")
-    if b.is_zero or b.is_constant():
-        raise ValueError("b must be a nonzero non-unit")
-    base = a.ring
-    if base.variables != ("x", "y"):
-        raise ValueError("modification is built over the base ring k[x, y]")
-    ambient = Ring(("x", "y", "u"), base.field)
-    u = ambient.var("u")
-    rel = a.in_ring(ambient) * u - b.in_ring(ambient)
-    return PresentedRing(ambient, Ideal([rel], GREVLEX), ("x", "y", "u"))
-
-
 def build_Bn(n: int, field=None) -> PresentedRing:
-    """The modification of the plane along x^n*y = 1 with center (1, 1):
-    build_modification(x^n*y - 1, x - 1), with the relation
-    u*(x^n*y - 1) - (x - 1) written directly in k[x, y, u]."""
+    """The modification A[b/a] of the plane A = k[x, y] along a = x^n*y - 1
+    with center b = x - 1, presented as k[x, y, u] / (u*(x^n*y - 1) - (x - 1))."""
     if n < 1:
         raise ValueError("n must be >= 1")
     ambient = Ring(("x", "y", "u"), field if field is not None else QQ)

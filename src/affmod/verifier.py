@@ -431,7 +431,7 @@ def rational(text: str) -> Fraction:
     """argparse type of --lambda: a rational literal such as 1/2."""
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ArgumentTypeError(f"not a rational literal: {text!r}")
 
 

@@ -17,6 +17,11 @@ def rxyu() -> Ring:
     return ring("x", "y", "u")
 
 
+def in_ring(p: MultiPoly, target: Ring) -> MultiPoly:
+    """p re-expressed in another ring, matching variable names."""
+    return p.substitute({}, target=target)
+
+
 def random_poly(rng: random.Random, r: Ring, max_terms=4, max_exp=3, max_coef=4):
     """Small random polynomial with integer coefficients (possibly zero)."""
     p = r.zero()

@@ -1,7 +1,7 @@
 """The benchmark's tracer patches library entry points by name, so a traced
 run breaks when one of them is renamed or deleted.  This reads the names from
 benchmarks/tracing.py without running it, then runs its tracer once to check
-that a Groebner completion still shows the work the traced run gates on."""
+that the Groebner, probe and fiber work the traced runs gate on still shows."""
 
 import ast
 import importlib
@@ -93,3 +93,15 @@ def test_tracer_sees_degree_probe_work():
     assert calls.get("degrees.probe_nonnegativity") == 2 * (5 * 5 - 1)
     assert calls.get("degrees.probe_elements") == 2
     assert calls.get("degrees.valuation_degree", 0) > 0
+
+
+def test_tracer_sees_fiber_work():
+    """The traced scaled-params run fails unless the univariate gcd, the
+    fiber classification and Samuel's check all record work."""
+    verifier = importlib.import_module("affmod.verifier")
+    reports, summary = _traced(lambda: (verifier.cmd_fibers(30), verifier.cmd_samuel(30)))
+    assert [r.status for r in reports] == ["verified", "verified"]
+    calls = summary["calls"]
+    for span in ("poly.gcd_univariate", "fibers.classify_curve", "fibers.fiber_poly",
+                 "rings.samuel_check", "ideals.colength"):
+        assert calls.get(span, 0) > 0, span

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,10 +22,11 @@ from affmod.poly import (
     ZeroPolynomialError,
     derivative,
     mono_divides,
+    reduce_mod,
 )
 from affmod.scalars import QQ, PrimeField
 
-from conftest import poly_strategy, polys_over_fields
+from conftest import FIELDS, in_ring, poly_strategy, polys_over_fields
 from naive_gb import ORDER_KEYS, divide
 
 RXY = ring("x", "y")
@@ -164,6 +167,35 @@ class TestPower:
             rxy.var("x") ** -1
 
 
+# univariate coefficients (numerator, denominator), lowest degree first;
+# no denominator is a multiple of 7 or 101
+_UPOLY = st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 6)), max_size=6)
+
+
+def _upoly(r, coeffs):
+    x = r.var("x")
+    return sum((r.const(Fraction(a, d)) * x**i for i, (a, d) in enumerate(coeffs)), r.zero())
+
+
+def _dense_coeffs(f) -> list:
+    """Coefficients of f in x, highest degree first; [] for zero."""
+    return [f.coefficient_in("x", i).constant_value()
+            for i in range(f.degree_in("x"), -1, -1)]
+
+
+def _euclid_gcd(p, q):
+    """The monic gcd by Euclid over the field, one LEX remainder per step."""
+    while not q.is_zero:
+        p, q = q, reduce_mod(p, [q], LEX)
+    return p.monic(LEX)
+
+
+def _assert_gcd_matches(p, q, v):
+    g = gcd_univariate(p, q, v)
+    assert g == _euclid_gcd(p, q)
+    return g
+
+
 class TestUnivariateGcd:
     def test_euclid(self, rxy):
         x, _ = rxy.gens()
@@ -182,6 +214,88 @@ class TestUnivariateGcd:
     def test_both_zero_rejected(self, rxy):
         with pytest.raises(ZeroPolynomialError):
             gcd_univariate(rxy.zero(), rxy.zero(), "x")
+        r7 = ring("x", "y", field=PrimeField(7))
+        with pytest.raises(ZeroPolynomialError):
+            gcd_univariate(r7.zero(), r7.zero(), "x")
+
+    def test_not_univariate_rejected(self, rxy):
+        x, y = rxy.gens()
+        with pytest.raises(ValueError):
+            gcd_univariate(x * y - 1, x - 1, "x")
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_linear_divisors(self, field):
+        r = ring("x", "y", field=field)
+        x, _ = r.gens()
+        for lam in (Fraction(2, 3), Fraction(-5), Fraction(1, 5), Fraction(3, 2)):
+            c = r.const(lam)
+            for n in (1, 2, 7, 60):
+                for p, q in [(c * x**n, 1 - c - x), (c * x**n - 1, 1 - x),
+                             (x**n - 1, 3 * x - 3), (c * x**n - 1, c * x - 1),
+                             ((x - c) * (x + 2) ** n, 2 * x - 2 * c)]:
+                    _assert_gcd_matches(p, q, "x")
+                    _assert_gcd_matches(q, p, "x")
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n, m", [(6, 4), (60, 45), (97, 3), (500, 300), (500, 499)])
+    def test_sparse_high_degree(self, field, n, m):
+        """x^n - c^n against x^m - c^m and x - c; over QQ the gcd is
+        x^gcd(n, m) - c^gcd(n, m)."""
+        r = ring("x", "y", field=field)
+        x, _ = r.gens()
+        for c in (Fraction(2, 3), Fraction(-7, 5), Fraction(1)):
+            cn, cm = r.const(c**n), r.const(c**m)
+            g = _assert_gcd_matches(x**n - cn, x**m - cm, "x")
+            _assert_gcd_matches(x**n - cn, x - r.const(c), "x")
+            _assert_gcd_matches(x**m - cm, n * x ** (n - 1), "x")
+            if field == QQ:
+                k = math.gcd(n, m)
+                assert g == x**k - r.const(c**k)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_constants_and_zero_operand(self, field):
+        r = ring("x", "y", field=field)
+        x, _ = r.gens()
+        p = r.const(Fraction(3, 5)) * x**3 - r.const(Fraction(9, 4)) * x + 2
+        for a, b in [(r.const(Fraction(3, 2)), p), (p, r.const(5)), (r.zero(), p),
+                     (p, r.zero()), (r.zero(), r.const(Fraction(-2, 3))),
+                     (r.const(4), r.const(6)), (r.zero(), 2 * x - 3)]:
+            g = _assert_gcd_matches(a, b, "x")
+            assert g.ring == r
+        assert gcd_univariate(r.zero(), p, "x") == p.monic(LEX)
+        assert gcd_univariate(r.const(4), r.zero(), "x") == r.one()
+
+    def test_rational_result_is_monic_fraction(self, rxy):
+        x, _ = rxy.gens()
+        g = gcd_univariate((3 * x - 2) * (x**2 + 1) * Fraction(5, 7),
+                           (6 * x - 4) * (x + 4).scale(Fraction(1, 3)), "x")
+        assert g == x - rxy.const(Fraction(2, 3))
+        assert all(type(c) is Fraction for c in g.terms.values())
+
+    @given(field=st.sampled_from(FIELDS), common=_UPOLY, a=_UPOLY, b=_UPOLY)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_euclid_over_the_field(self, field, common, a, b):
+        """Products with a shared factor, non-monic rational coefficients
+        included, against Euclid over the field itself."""
+        r = ring("x", "y", field=field)
+        p, q = (_upoly(r, common) * _upoly(r, c) for c in (a, b))
+        assume(not p.is_zero or not q.is_zero)
+        _assert_gcd_matches(p, q, "x")
+
+    @given(field=st.sampled_from(FIELDS), common=_UPOLY, a=_UPOLY, b=_UPOLY)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sympy(self, field, common, a, b):
+        sympy = pytest.importorskip("sympy")
+        r = ring("x", "y", field=field)
+        p, q = (_upoly(r, common) * _upoly(r, c) for c in (a, b))
+        assume(not p.is_zero or not q.is_zero)
+        domain = {"domain": "QQ"} if field == QQ else {"modulus": field.p}
+        sp, sq = (sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                              for c in _dense_coeffs(f)] or [0],
+                             sympy.Symbol("x"), **domain) for f in (p, q))
+        expected = [Fraction(int(c.p), int(c.q)) if field == QQ else int(c) % field.p
+                    for c in sp.gcd(sq).monic().all_coeffs()]
+        assert _dense_coeffs(gcd_univariate(p, q, "x")) == expected
 
 
 class TestSquarefree:
@@ -312,9 +426,9 @@ class TestLinearDecompose:
             d = random_poly(rng, small, max_terms=3, max_exp=3)
             if c.is_zero:
                 continue
-            p = (c.in_ring(RXY) * RXY.var("y") + d.in_ring(RXY))
+            p = in_ring(c, RXY) * RXY.var("y") + in_ring(d, RXY)
             dec = linear_decompose(p, "y")
-            assert dec.reconstruct() == p
+            assert dec.common * (dec.c_prime * RXY.var("y") + dec.d_prime) == p
             if not (dec.c_prime.is_constant() and dec.d_prime.is_constant()):
                 g = gcd_univariate(dec.c_prime, dec.d_prime, "x")
                 assert g == RXY.one()

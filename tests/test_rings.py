@@ -6,11 +6,11 @@ from affmod import (
     GREVLEX,
     Ideal,
     PresentedRing,
+    Ring,
     RingMap,
     build_Bn,
     build_C1,
     build_C2,
-    build_modification,
     ideals_equal,
     ring,
     samuel_check,
@@ -19,7 +19,24 @@ from affmod import (
 from affmod.rings import c1_alternate_ideal, c1_to_c2_map, certify_irreducible, relatively_prime
 from affmod.scalars import PrimeField
 
+from conftest import in_ring
+
 RXY = ring("x", "y")
+
+
+def build_modification(a, b) -> PresentedRing:
+    """Oracle for build_Bn: the ring A[b/a] over A = k[x, y], presented as
+    k[x, y, u] / (a*u - b)."""
+    if a.is_zero or a.is_constant():
+        raise ValueError("a must be a nonzero non-unit")
+    if b.is_zero or b.is_constant():
+        raise ValueError("b must be a nonzero non-unit")
+    if a.ring.variables != ("x", "y"):
+        raise ValueError("modification is built over the base ring k[x, y]")
+    ambient = Ring(("x", "y", "u"), a.ring.field)
+    u = ambient.var("u")
+    rel = in_ring(a, ambient) * u - in_ring(b, ambient)
+    return PresentedRing(ambient, Ideal([rel], GREVLEX), ("x", "y", "u"))
 
 
 class TestBuilders:

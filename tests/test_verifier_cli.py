@@ -106,6 +106,17 @@ class TestVerifierCommands:
         assert failed == ["isomorphism-chain"]
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("spec", ["rational"] + [f"fp:{p}" for p in (2, 3, 5, 7, 11, 13)])
+def test_run_all_decides_every_small_field(spec, n):
+    """run_all never raises over QQ and GF(p) for p <= 13, n in 1..6, and
+    verifies every check but the deliberately red isomorphism chain."""
+    reports = run_all(field_from_spec(spec), n_values=(n,))
+    failed = [r.claim_id for r in reports if r.status == "failed"]
+    assert failed == ["isomorphism-chain"]
+    assert all(r.status == "verified" for r in reports if r.claim_id not in failed)
+
+
 @pytest.mark.parametrize("value", [0, -2])
 @pytest.mark.parametrize("call, name", [
     (lambda v: cmd_fibers(v), "n"),
@@ -187,6 +198,14 @@ class TestCli:
         assert run(["fibers", "--n", "2", "--lambda", "1/2", "--lambda", "3"]) == 0
         out = capsys.readouterr().out
         assert "[PASS] fibers-n2" in out
+
+    @pytest.mark.parametrize("value", ["1/0", "0/0", "half"])
+    def test_bad_lambda_is_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run(["fibers", "--n", "2", "--lambda", value, "--quiet"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --lambda: not a rational literal: {value!r}" in err
 
     def test_quiet_suppresses_summary(self, capsys):
         run(["samuel", "--quiet"])
