@@ -15,7 +15,6 @@ from itertools import product
 
 from .poly import (
     GREVLEX,
-    LEX,
     MonomialOrder,
     MultiPoly,
     RingMismatchError,
@@ -74,8 +73,8 @@ def buchberger_gb(gens, order: MonomialOrder = GREVLEX):
     pairs = {}  # (i, j) -> lcm of the leading monomials, i < j
 
     def rank(pair):
-        lcm = pairs[pair]
-        return (sum(lcm), order.key(lcm))
+        # the normal strategy: the least lcm in the order, not degree first
+        return order.key(pairs[pair])
 
     def update(h: MultiPoly):
         """Add h to the basis and its useful pairs to ``pairs``: the
@@ -202,11 +201,11 @@ def colength(ideal: Ideal):
 
 
 def is_point_ideal(ideal: Ideal):
-    """Coordinates (alpha, beta) when the reduced lex basis is
+    """Coordinates (alpha, beta) when the reduced basis, under any order, is
     {x - alpha, y - beta}; None otherwise."""
     if ideal.ring.nvars != 2:
         raise ValueError("point recognition needs a two-variable ring")
-    gb = ideal.with_order(LEX).groebner_basis
+    gb = ideal.groebner_basis
     if len(gb) != 2:
         return None
     coords = [None, None]

@@ -410,47 +410,41 @@ def reduce_mod(p: MultiPoly, divisors, order: MonomialOrder) -> MultiPoly:
     return divide_multi(p, divisors, order)[1]
 
 
-def exact_div(p: MultiPoly, g: MultiPoly, order: MonomialOrder = GREVLEX) -> MultiPoly:
+def exact_div(p: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Exact quotient p/g; raises if g does not divide p."""
-    qs, r = divide_multi(p, [g], order)
+    qs, r = divide_multi(p, [g], GREVLEX)
     if not r.is_zero:
         raise ValueError("division is not exact")
     return qs[0]
 
 
-def _require_univariate(p: MultiPoly, v: str):
+def _dense(p: MultiPoly, v: str) -> list:
+    """Coefficient list of p in v, lowest degree first and without leading
+    zeros: reduced ints over GF(char), integers with the denominators cleared
+    over QQ.  The univariate layer runs on such lists."""
     extra = [w for w in p.variables_present() if w != v]
     if extra:
         raise ValueError(f"not univariate in {v!r}: also involves {extra}")
-
-
-def derivative(p: MultiPoly, v: str) -> MultiPoly:
     i = p.ring.index(v)
-    f = p.ring.field
-    out = {}
-    for m, c in p.terms.items():
-        if m[i] == 0:
-            continue
-        mm = list(m)
-        e = mm[i]
-        mm[i] = e - 1
-        mm = tuple(mm)
-        c2 = f.mul(c, f.from_int(e))
-        out[mm] = f.add(out.get(mm, f.zero), c2)
-    return MultiPoly(p.ring, out)
-
-
-def _dense(p: MultiPoly, char: int) -> list:
-    """Integer coefficient list of p, univariate, lowest degree first and
-    without leading zeros; over QQ (char 0) the denominators are cleared."""
     terms = p.terms
+    char = p.ring.field.char
     if not char:
         den = math.lcm(*[c.denominator for c in terms.values()])
-    coeffs = [0] * (max(map(sum, terms), default=-1) + 1)
+    coeffs = [0] * (max((m[i] for m in terms), default=-1) + 1)
     for m, c in terms.items():
-        # the total degree is the degree in the variable
-        coeffs[sum(m)] = c if char else c.numerator * (den // c.denominator)
+        coeffs[m[i]] = c if char else c.numerator * (den // c.denominator)
     return coeffs
+
+
+def _poly(a: list, lc, ring_: Ring, v: str) -> MultiPoly:
+    """The polynomial in v with the nonzero coefficient list a, scaled to
+    leading coefficient lc."""
+    f = ring_.field
+    s = f.mul(lc, f.inv(f.from_int(a[-1])))
+    zero = (0,) * ring_.nvars
+    i = ring_.index(v)
+    return MultiPoly(ring_, {zero[:i] + (k,) + zero[i + 1:]: f.mul(f.from_int(c), s)
+                             for k, c in enumerate(a) if c})
 
 
 def _normalize(a: list, char: int) -> list:
@@ -463,29 +457,43 @@ def _normalize(a: list, char: int) -> list:
     return [c // g for c in a]
 
 
-def _remainder(a: list, b: list, char: int) -> list:
-    """a mod b over GF(char), b monic; over ZZ (char 0) a pseudo-remainder,
-    a nonzero integer multiple of a mod b."""
-    a = a[:]
-    db, lb = len(b) - 1, b[-1]
-    while len(a) > db:
-        la = a.pop()
+def _divide(a: list, b: list, char: int):
+    """Quotient and remainder (q, r) of a by b: a = q*b + r over GF(char).
+    Over ZZ (char 0) s*a = q*b + r for a nonzero integer s, and s = 1 when b
+    is primitive and divides a over QQ (Gauss's lemma)."""
+    r, db, lb = a[:], len(b) - 1, b[-1]
+    q = [0] * max(len(a) - db, 0)
+    inv = pow(lb, -1, char) if char else None
+    while len(r) > db:
+        la = r.pop()
         if not la:
             continue
-        shift = len(a) - db
+        shift = len(r) - db
         if char:
+            c = q[shift] = la * inv % char
             for k in range(db):
-                a[shift + k] = (a[shift + k] - la * b[k]) % char
+                r[shift + k] = (r[shift + k] - c * b[k]) % char
             continue
-        q, r = divmod(la, lb)
-        if r:  # scale a by lb, so that lb divides its leading coefficient
-            q = la
-            a = [lb * c for c in a]
+        c, rem = divmod(la, lb)
+        if rem:  # scale by lb, so that lb divides the leading coefficient
+            c = la
+            r = [lb * e for e in r]
+            q = [lb * e for e in q]
+        q[shift] = c
         for k in range(db):
-            a[shift + k] -= q * b[k]
-    while a and not a[-1]:
-        a.pop()
-    return a
+            r[shift + k] -= c * b[k]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _mul(a: list, b: list, char: int) -> list:
+    """The product of two nonzero lists over GF(char)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, e in enumerate(b):
+            out[i + j] += c * e
+    return [c % char for c in out]
 
 
 def _vanishes_at_root(a: list, b: list, char: int) -> bool:
@@ -499,71 +507,68 @@ def _vanishes_at_root(a: list, b: list, char: int) -> bool:
     return not sum(c * (-b0) ** k * b1 ** (d - k) for k, c in enumerate(a) if c)
 
 
-def gcd_univariate(p: MultiPoly, q: MultiPoly, v: str) -> MultiPoly:
-    """Monic gcd of polynomials univariate in v (constants allowed).
+def _gcd(a: list, b: list, char: int) -> list:
+    """The gcd of two lists, not both zero: primitive over ZZ, monic over
+    GF(char), and [1] for coprime lists.
 
-    Euclid runs on dense integer coefficient lists: over QQ on primitive
-    parts and pseudo-remainders (the primitive PRS; Collins 1967, Brown
-    1971), over GF(p) on monic remainders.  A linear divisor ends it by the
-    remainder theorem.
+    Euclid over ZZ runs on primitive parts and pseudo-remainders (the
+    primitive PRS; Collins 1967, Brown 1971), over GF(p) on monic
+    remainders.  A linear divisor ends it by the remainder theorem.
     """
-    if p.is_zero and q.is_zero:
-        raise ZeroPolynomialError("gcd(0, 0)")
-    _require_univariate(p, v)
-    _require_univariate(q, v)
-    p._check_ring(q)
-    ring_ = p.ring
-    char = ring_.field.char
-    a, b = _dense(p, char), _dense(q, char)
     while b:
         b = _normalize(b, char)
         if len(b) == 1:
-            a = b
-            break
+            return [1]
         if len(b) == 2:
-            a = b if _vanishes_at_root(a, b, char) else [1]
-            break
-        a, b = b, _remainder(a, b, char)
-    if len(a) == 1:
-        return ring_.one()
-    a = _normalize(a, char)
-    lc = a[-1]
-    zero = (0,) * ring_.nvars
-    i = ring_.index(v)
-    return MultiPoly(ring_, {zero[:i] + (k,) + zero[i + 1:]: c if char else Fraction(c, lc)
-                             for k, c in enumerate(a) if c})
+            return b if _vanishes_at_root(a, b, char) else [1]
+        a, b = b, _divide(a, b, char)[1]
+    return _normalize(a, char)
 
 
-def squarefree_part(p: MultiPoly, v: str) -> MultiPoly:
-    """Monic product of the distinct irreducible factors of p in k[v].
+def _squarefree(a: list, char: int) -> list:
+    """The product of the distinct irreducible factors of a nonzero list,
+    primitive over ZZ and monic over GF(char).
 
     Over GF(q) a factor whose multiplicity q divides has zero derivative, so
-    it stays whole in gcd(p, p') and is taken from there; if p' = 0, then
-    p = g(v^q) = g(v)^q, since c^q = c on GF(q) (Yun 1976; Knuth, TAOCP
+    it stays whole in gcd(a, a') and is taken from there; if a' = 0, then
+    a = g(v^q) = g(v)^q, since c^q = c on GF(q) (Yun 1976; Knuth, TAOCP
     vol. 2, 4.6.2).
     """
-    if p.is_zero:
-        raise ZeroPolynomialError("squarefree part of zero")
-    _require_univariate(p, v)
-    if p.degree_in(v) <= 0:
-        return p.ring.one()
-    char = p.ring.field.char
-    dp = derivative(p, v)
-    if char and dp.is_zero:
-        i = p.ring.index(v)
-        root = {m[:i] + (m[i] // char,) + m[i + 1:]: c for m, c in p.terms.items()}
-        return squarefree_part(MultiPoly(p.ring, root), v)
-    g = gcd_univariate(p, dp, v)
-    part = exact_div(p, g, LEX).monic(LEX)
+    if len(a) <= 1:
+        return [1]
+    da = [k * c % char if char else k * c for k, c in enumerate(a)][1:]
+    while da and not da[-1]:
+        da.pop()
+    if not da:
+        return _squarefree(a[::char], char)
+    g = _gcd(a, da, char)
+    part = _normalize(_divide(a, g, char)[0], char)
     if char:
         # strip the factors of part from g, doubling the powers taken each
         # round; what is left is the q-th power of the factors part lacks
-        w = gcd_univariate(part, g, v)
-        while w.degree_in(v) > 0:
-            g = exact_div(g, w, LEX)
-            w = gcd_univariate(w * w, g, v)
-        part = part * squarefree_part(g, v)
+        w = _gcd(part, g, char)
+        while len(w) > 1:
+            g = _divide(g, w, char)[0]
+            w = _gcd(_mul(w, w, char), g, char)
+        part = _mul(part, _squarefree(g, char), char)
     return part
+
+
+def gcd_univariate(p: MultiPoly, q: MultiPoly, v: str) -> MultiPoly:
+    """Monic gcd of polynomials univariate in v (constants allowed)."""
+    if p.is_zero and q.is_zero:
+        raise ZeroPolynomialError("gcd(0, 0)")
+    p._check_ring(q)
+    f = p.ring.field
+    return _poly(_gcd(_dense(p, v), _dense(q, v), f.char), f.one, p.ring, v)
+
+
+def squarefree_part(p: MultiPoly, v: str) -> MultiPoly:
+    """Monic product of the distinct irreducible factors of p in k[v]."""
+    if p.is_zero:
+        raise ZeroPolynomialError("squarefree part of zero")
+    f = p.ring.field
+    return _poly(_squarefree(_dense(p, v), f.char), f.one, p.ring, v)
 
 
 def distinct_root_count(p: MultiPoly, v: str) -> int:
@@ -592,19 +597,13 @@ def linear_decompose(p: MultiPoly, v: str) -> LinearDecomposition:
     c = p.coefficient_in(v, 1)
     d = p.coefficient_in(v, 0)
     coeff_vars = set(c.variables_present()) | set(d.variables_present())
-    if v in coeff_vars:
-        raise ValueError(f"coefficients of {v!r} still involve {v!r}")
     if len(coeff_vars) > 1:
         raise ValueError(f"coefficients not univariate: involve {sorted(coeff_vars)}")
-    w = next(iter(coeff_vars)) if coeff_vars else None
-    if w is None:
-        # both coefficients constant: gcd is 1 after normalization
-        g = p.ring.one()
-    else:
-        g = gcd_univariate(c, d, w)
-    return LinearDecomposition(
-        variable=v,
-        common=g,
-        c_prime=exact_div(c, g, LEX),
-        d_prime=exact_div(d, g, LEX),
-    )
+    w = next(iter(coeff_vars), v)  # with constant coefficients any variable does
+    g = gcd_univariate(c, d, w)
+    b, char = _dense(g, w), p.ring.field.char
+    # g is monic, so c/g and d/g have the leading coefficients of c and d
+    c_prime, d_prime = (e if e.is_zero else _poly(_divide(_dense(e, w), b, char)[0],
+                                                   e.leading(LEX)[1], p.ring, w)
+                        for e in (c, d))
+    return LinearDecomposition(v, g, c_prime, d_prime)

@@ -3,8 +3,8 @@
 A polynomial is a dict {exponent tuple: nonzero coefficient}.  Coefficients
 are Fractions over QQ (p = 0) and ints in range(p) over GF(p).  The engine is
 textbook Buchberger (Cox, Little and O'Shea, "Ideals, Varieties, and
-Algorithms", ch. 2): every pair is reduced, with no selection strategy and no
-criterion, and the leading term is found by a full scan at every step.  It
+Algorithms", ch. 2): every pair is reduced, oldest first, with no criterion,
+and the leading term is found by a full scan at every step.  It
 has its own S-polynomial, division and interreduction and imports nothing
 from ``affmod.poly`` or ``affmod.ideals``; a ``MultiPoly`` is converted only
 at the boundary, with the input's own class.  Slow but obviously correct:
@@ -106,7 +106,10 @@ def buchberger(polys, key, p: int) -> list:
     G = [_monic(f, key, p) for f in polys if f]
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     while pairs:
-        i, j = pairs.pop()
+        # oldest pair first: newest-first chases each new element's pairs
+        # before the old ones and can run for minutes on three small
+        # generators in three variables
+        i, j = pairs.pop(0)
         r = divide(s_polynomial(G[i], G[j], key, p), G, key, p)[1]
         if r:
             G.append(_monic(r, key, p))

@@ -20,7 +20,7 @@ from affmod.ideals import s_polynomial
 from affmod.poly import RingMismatchError, reduce_mod
 from affmod.scalars import PrimeField
 
-from conftest import poly_strategy, polys_over_fields, random_poly
+from conftest import ORDERS, poly_strategy, polys_over_fields, random_poly
 from naive_gb import naive_buchberger
 
 RXY = ring("x", "y")
@@ -125,6 +125,15 @@ class TestEngineDifferential:
     def test_matches_dict_oracle(self, case):
         _, order, gens = case
         assert buchberger_gb(gens, order) == naive_buchberger(gens, order)
+
+    def test_lex_four_variables(self):
+        """An input drawn by test_matches_dict_oracle on which degree-first
+        pair selection took twenty seconds under lex."""
+        r = ring("x", "y", "z", "w", field=PrimeField(7))
+        x, y, z, w = r.gens()
+        gens = [5 * x * y * z + 5 * x * y + 2 * x + 5, 6 * x * y * z + 5 * y**2 * w + 5,
+                5 * x**2 * y + 3 * x * w + 6 * w]
+        assert buchberger_gb(gens, LEX) == naive_buchberger(gens, LEX)
 
     @given(case=polys_over_fields())
     @settings(max_examples=100, deadline=None)
@@ -240,9 +249,10 @@ class TestPointIdeal:
         x, y = rxy.gens()
         assert is_point_ideal(Ideal([x**2 * y - 1, x - 1])) == (1, 1)
 
-    def test_rational_point(self, rxy):
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_rational_point(self, rxy, order):
         x, y = rxy.gens()
-        pt = is_point_ideal(Ideal([2 * x - 1, 3 * y + 2]))
+        pt = is_point_ideal(Ideal([2 * x - 1, 3 * y + 2], order))
         assert pt == (Fraction(1, 2), Fraction(-2, 3))
 
     def test_non_split_point(self, rxy):

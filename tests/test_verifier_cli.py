@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from affmod import GREVLEX, Ideal, ideals_equal, ring
+from affmod import GREVLEX, Ideal, ideals, ideals_equal, poly, ring
 from affmod.cli import FIELD_ENV_VAR, build_parser, run
 from affmod.report import VerificationReport, summarize
 from affmod.rings import build_C2, c1_alternate_ideal, c1_to_c2_map
@@ -26,6 +26,19 @@ from affmod.verifier import (
 )
 
 
+def _count_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name so that each call appends its arguments to the
+    returned list."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestVerifierCommands:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_fibers(self, n):
@@ -33,6 +46,17 @@ class TestVerifierCommands:
         assert rep.status == "verified"
         assert rep.claim_id == f"fibers-n{n}"
         assert len(rep.transcript) == 15  # 3 generators x 5 default parameters
+
+    def test_fibers_make_no_multivariate_division(self, monkeypatch):
+        # every fiber class is decided on dense univariate lists
+        calls = _count_calls(monkeypatch, poly, "divide_multi")
+        assert cmd_fibers(30).status == "verified"
+        assert calls == []
+
+    def test_samuel_builds_one_groebner_basis(self, monkeypatch):
+        calls = _count_calls(monkeypatch, ideals, "buchberger_gb")
+        assert cmd_samuel(30).status == "verified"
+        assert len(calls) == 1
 
     def test_fibers_prime_field(self):
         rep = cmd_fibers(2, field=PrimeField(101))
