@@ -56,7 +56,6 @@ from .fibers import (
 )
 from .degrees import (
     LocalizedFraction,
-    WeightDegree,
     fraction,
     probe_nonnegativity,
     valuation_degree,

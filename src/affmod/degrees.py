@@ -1,7 +1,7 @@
 """Weighted degree functions, their fraction-field valuations, and the
 exhaustive weight-family non-negativity probe.
 
-A weight vector assigns an integer to each base-ring variable; the degree of
+A weight is a tuple of integers, one per base-ring variable; the degree of
 a polynomial is the maximal weight over its monomials (-inf for 0), which is
 multiplicative and extends to fractions by deg(p/q) = deg p - deg q.
 """
@@ -17,65 +17,46 @@ from .poly import MultiPoly, Ring, ZeroPolynomialError
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class WeightDegree:
-    """Integer weight per variable of the base ring."""
-
-    weights: tuple
-
-
-def weight_degree(p: MultiPoly, w: WeightDegree):
+def weight_degree(p: MultiPoly, w: tuple):
     """Max weight over the monomials of p; -inf for the zero polynomial."""
-    weights = w.weights
-    if len(weights) != len(p.ring.variables):
+    if len(w) != len(p.ring.variables):
         raise ValueError("weight vector length does not match ring")
     if not p.terms:
         return NEG_INF
-    return max([sum(map(mul, weights, m)) for m in p.terms])
+    return max([sum(map(mul, w, m)) for m in p.terms])
 
 
 @dataclass(frozen=True)
 class LocalizedFraction:
-    """numerator / product of inverted elements (with multiplicities).
+    """numerator / product of inverted elements.
 
-    Models elements of a localization like A_t; the denominator is a monomial
-    in the declared inverted elements, stored as (element, multiplicity)
-    pairs.
+    Models elements of a localization like A_t; an element listed k times in
+    ``inverted`` is inverted to the k-th power.
     """
 
     numerator: MultiPoly
-    inverted: tuple = ()  # pairs (MultiPoly, positive int)
+    inverted: tuple = ()  # MultiPolys
 
     def __post_init__(self):
-        for elt, mult in self.inverted:
-            if elt.is_zero:
-                raise ZeroPolynomialError("inverted element is zero")
-            if mult < 1:
-                raise ValueError("multiplicity must be positive")
+        if any(elt.is_zero for elt in self.inverted):
+            raise ZeroPolynomialError("inverted element is zero")
 
 
 def fraction(numerator: MultiPoly, *inverted) -> LocalizedFraction:
-    return LocalizedFraction(numerator, tuple((e, 1) for e in inverted))
+    return LocalizedFraction(numerator, inverted)
 
 
-def valuation_degree(f: LocalizedFraction, w: WeightDegree):
-    """deg(num) - sum of deg(inverted) with multiplicity."""
+def valuation_degree(f: LocalizedFraction, w: tuple):
+    """deg(num) - the sum of deg over the inverted elements."""
     d = weight_degree(f.numerator, w)
     if d == NEG_INF:
         return NEG_INF
-    for elt, mult in f.inverted:
-        d -= mult * weight_degree(elt, w)
+    for elt in f.inverted:
+        d -= weight_degree(elt, w)
     return d
 
 
 # -- the non-negativity probe ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    verdict: str  # "trivial-ok" | "witness" | "no-witness"
-    witness: str = ""
-    degree: object = None
 
 
 DEFAULT_PROBE = ("x", "y", "u", "v")
@@ -98,21 +79,23 @@ def probe_elements(n: int, names=DEFAULT_PROBE) -> dict:
     return {name: available[name] for name in names}
 
 
-def probe_nonnegativity(elements: dict, w: WeightDegree) -> ProbeResult:
+def probe_nonnegativity(elements: dict, w: tuple) -> dict:
     """Find a probe element of negative degree under w, if any, trying the
     elements built by probe_elements in order.
 
-    Every nonzero weight admits a witness (the finitary face of the
-    degree-rigidity statement); the restricted probe without v misses the
-    weight (1, 0) at n = 1, which is why "no-witness" is representable.
+    Returns {"verdict", "witness", "degree"}, the verdict one of
+    "trivial-ok" (w = 0), "witness" and "no-witness".  Every nonzero weight
+    admits a witness (the finitary face of the degree-rigidity statement);
+    the restricted probe without v misses the weight (1, 0) at n = 1, which
+    is why "no-witness" is representable.
     """
-    if not any(w.weights):
-        return ProbeResult("trivial-ok")
+    if not any(w):
+        return {"verdict": "trivial-ok", "witness": "", "degree": None}
     for name, elt in elements.items():
         d = valuation_degree(elt, w)
         if d < 0:
-            return ProbeResult("witness", witness=name, degree=d)
-    return ProbeResult("no-witness")
+            return {"verdict": "witness", "witness": name, "degree": d}
+    return {"verdict": "no-witness", "witness": "", "degree": None}
 
 
 def exhaustive_probe(n_values, box: int, names=DEFAULT_PROBE) -> list:
@@ -123,17 +106,8 @@ def exhaustive_probe(n_values, box: int, names=DEFAULT_PROBE) -> list:
     results = []
     for n in n_values:
         elements = probe_elements(n, names)
-        for a, b in product(range(-box, box + 1), repeat=2):
-            if (a, b) == (0, 0):
-                continue
-            r = probe_nonnegativity(elements, WeightDegree((a, b)))
-            results.append(
-                {
-                    "n": n,
-                    "weight": [a, b],
-                    "verdict": r.verdict,
-                    "witness": r.witness,
-                    "degree": r.degree,
-                }
-            )
+        for w in product(range(-box, box + 1), repeat=2):
+            if w != (0, 0):
+                results.append({"n": n, "weight": list(w)}
+                               | probe_nonnegativity(elements, w))
     return results

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import MultiPoly, distinct_root_count, linear_decompose
+from .poly import MultiPoly, distinct_root_count, linear_form
 from .scalars import QQ, scalar_from_rational
 
 
 @dataclass(frozen=True)
 class CurveClass:
-    """One of: Empty, Point, AffineLine, PuncturedLine(r), Union(parts),
+    """One of: Empty, AffineLine, PuncturedLine(r), Union(parts),
     Unknown(reason)."""
 
-    kind: str  # "empty" | "point" | "line" | "punctured" | "union" | "unknown"
+    kind: str  # "empty" | "line" | "punctured" | "union" | "unknown"
     punctures: int = 0
     parts: tuple = ()
     reason: str = ""
@@ -29,8 +29,6 @@ class CurveClass:
     def __str__(self):
         if self.kind == "empty":
             return "Empty"
-        if self.kind == "point":
-            return "Point"
         if self.kind == "line":
             return "A^1"
         if self.kind == "punctured":
@@ -41,7 +39,6 @@ class CurveClass:
 
 
 EMPTY = CurveClass("empty")
-POINT = CurveClass("point")
 AFFINE_LINE = CurveClass("line")
 
 
@@ -95,21 +92,10 @@ def classify_curve(p: MultiPoly) -> CurveClass:
     if len(present) > 2:
         return unknown(f"more than two variables present: {present}")
 
-    candidates = []
-    for v in present:
-        if p.degree_in(v) != 1:
-            continue
-        try:
-            dec = linear_decompose(p, v)
-        except ValueError:
-            continue
-        lead_deg = 0 if dec.c_prime.is_constant() else dec.c_prime.total_degree()
-        candidates.append((lead_deg, p.ring.index(v), dec))
-    if not candidates:
+    # the class is substitution-invariant, so any linear variable will do
+    dec = linear_form(p)
+    if dec is None:
         return unknown("no variable of degree one with univariate coefficients")
-    # prefer the linear variable with the smaller leading coefficient degree;
-    # ties broken by ring variable order (class is substitution-invariant)
-    _, _, dec = min(candidates, key=lambda t: (t[0], t[1]))
 
     components = []
     if not dec.common.is_constant():
@@ -128,13 +114,11 @@ def classify_curve(p: MultiPoly) -> CurveClass:
 # -- fibers of the coordinate functions on Spec B_n -------------------------
 
 
-def fiber_poly(n: int, generator: str, lam, field=None) -> MultiPoly:
-    """Bivariate relation of the fiber generator = lam on Spec B_n."""
-    from .rings import build_Bn  # rings imports this module
-
+def fiber_poly(rel: MultiPoly, generator: str, lam) -> MultiPoly:
+    """Bivariate relation of the fiber generator = lam on Spec B_n, given the
+    relation u*(x^n*y - 1) - (x - 1) of B_n."""
     if generator not in ("x", "u", "y"):
         raise ValueError(f"generator must be one of x, u, y, not {generator!r}")
-    rel = build_Bn(n, field).defining.generators[0]
     return rel.substitute({generator: rel.ring.const(lam)})
 
 
@@ -146,17 +130,18 @@ class FiberTableRow:
     curve_class: CurveClass
 
 
-def fiber_table(n: int, lambdas, field=None) -> list:
-    """All fibers of x, u, y at the given parameter values, classified."""
+def fiber_table(rel: MultiPoly, lambdas) -> list:
+    """All fibers of x, u, y at the given parameter values on the B_n of the
+    relation rel, classified."""
     rows = []
     for generator in ("x", "u", "y"):
         for lam in lambdas:
-            p = fiber_poly(n, generator, lam, field)
+            p = fiber_poly(rel, generator, lam)
             rows.append(FiberTableRow(generator, lam, p, classify_curve(p)))
     return rows
 
 
-def expected_fiber_class(n: int, generator: str, lam, field=None):
+def expected_fiber_class(n: int, generator: str, lam, field=QQ):
     """The tabulated fiber class, with a note where the n=1 row of the
     reducible-fiber patterns degenerates to two lines, or where the
     characteristic p divides n.
@@ -168,16 +153,15 @@ def expected_fiber_class(n: int, generator: str, lam, field=None):
 
     Returns (CurveClass, note_or_None).
     """
-    fld = field if field is not None else QQ
-    zero, one = fld.zero, fld.one
-    lam = scalar_from_rational(fld, lam)
+    zero, one = field.zero, field.one
+    lam = scalar_from_rational(field, lam)
     n_prime = n
-    while fld.char and n_prime % fld.char == 0:
-        n_prime //= fld.char
+    while field.char and n_prime % field.char == 0:
+        n_prime //= field.char
     char_note = None
     if n_prime < n:
         char_note = (
-            f"characteristic {fld.char} divides n, so x^n - c has "
+            f"characteristic {field.char} divides n, so x^n - c has "
             f"n' = {n_prime} distinct roots"
         )
     if lam == zero:

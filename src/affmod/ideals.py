@@ -1,7 +1,7 @@
 """Ideals, Buchberger's algorithm, normal forms, colength.
 
-The completion uses the normal pair-selection strategy (least lcm first,
-by degree and then by the order) and the pair criteria of Gebauer and
+The completion uses the normal pair-selection strategy (least lcm first
+in the order, for lex as for grevlex) and the pair criteria of Gebauer and
 Moeller 1988, "On an installation of Buchberger's algorithm": the product
 (coprime) criterion, B, M and F.  A basis element whose leading monomial a
 newer element divides leaves the active basis.  The reduced basis is unique
@@ -150,10 +150,6 @@ class Ideal:
         if order == self.order:
             return self
         return Ideal(self.generators, order)
-
-    def is_proper(self) -> bool:
-        gb = self.groebner_basis
-        return not any(g.is_constant() for g in gb)
 
     def contains(self, p: MultiPoly) -> bool:
         return normal_form(p, self).is_zero

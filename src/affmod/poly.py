@@ -70,8 +70,8 @@ class Ring:
         return tuple(self.var(v) for v in self.variables)
 
 
-def ring(*variables, field=None) -> Ring:
-    return Ring(tuple(variables), field if field is not None else QQ)
+def ring(*variables, field=QQ) -> Ring:
+    return Ring(tuple(variables), field)
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -573,7 +573,9 @@ def squarefree_part(p: MultiPoly, v: str) -> MultiPoly:
 
 def distinct_root_count(p: MultiPoly, v: str) -> int:
     """Number of distinct roots of p in the algebraic closure."""
-    return squarefree_part(p, v).degree_in(v)
+    if p.is_zero:
+        raise ZeroPolynomialError("squarefree part of zero")
+    return len(_squarefree(_dense(p, v), p.ring.field.char)) - 1
 
 
 @dataclass(frozen=True)
@@ -607,3 +609,19 @@ def linear_decompose(p: MultiPoly, v: str) -> LinearDecomposition:
                                                    e.leading(LEX)[1], p.ring, w)
                         for e in (c, d))
     return LinearDecomposition(v, g, c_prime, d_prime)
+
+
+def linear_form(p: MultiPoly):
+    """The linear_decompose of p in its first variable that admits one; None
+    if none does.
+
+    That is also the variable whose c' has the least degree: a bivariate p
+    linear in both variables is a*x*y + b*x + c*y + d, and both of its c'
+    are constant if ad = bc and of degree 1 (a != 0) or 0 (a = 0) if not.
+    """
+    for v in p.variables_present():
+        try:
+            return linear_decompose(p, v)
+        except ValueError:
+            pass
+    return None

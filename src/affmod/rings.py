@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .fibers import AFFINE_LINE, CurveClass, classify_curve, punctured_line
 from .ideals import Ideal, colength, ideals_equal, is_point_ideal, normal_form
-from .poly import GREVLEX, MultiPoly, Ring, linear_decompose
+from .poly import GREVLEX, MultiPoly, Ring, linear_form
 from .scalars import QQ
 
 
@@ -22,9 +22,6 @@ class PresentedRing:
     defining: Ideal
     generators: tuple  # display names of the designated generators
 
-    def is_proper(self) -> bool:
-        return self.defining.is_proper()
-
     def normal_form(self, p: MultiPoly) -> MultiPoly:
         return normal_form(p, self.defining)
 
@@ -32,37 +29,37 @@ class PresentedRing:
         return self.normal_form(p - q).is_zero
 
 
-def build_Bn(n: int, field=None) -> PresentedRing:
+def build_Bn(n: int, field=QQ) -> PresentedRing:
     """The modification A[b/a] of the plane A = k[x, y] along a = x^n*y - 1
     with center b = x - 1, presented as k[x, y, u] / (u*(x^n*y - 1) - (x - 1))."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ambient = Ring(("x", "y", "u"), field if field is not None else QQ)
+    ambient = Ring(("x", "y", "u"), field)
     x, y, u = ambient.gens()
     rel = u * (x**n * y - 1) - (x - 1)
     return PresentedRing(ambient, Ideal([rel], GREVLEX), ambient.variables)
 
 
-def build_C1(field=None) -> PresentedRing:
+def build_C1(field=QQ) -> PresentedRing:
     """k[x,y,u,v] / (u*x - (y-1), v*y - (x-1))."""
-    ambient = Ring(("x", "y", "u", "v"), field if field is not None else QQ)
+    ambient = Ring(("x", "y", "u", "v"), field)
     x, y, u, v = ambient.gens()
     gens = [u * x - (y - 1), v * y - (x - 1)]
     return PresentedRing(ambient, Ideal(gens, GREVLEX), ambient.variables)
 
 
-def build_C2(field=None) -> PresentedRing:
+def build_C2(field=QQ) -> PresentedRing:
     """k[X,Y,U,V] / (U*(X*Y-1) - (X-1), V*(X*Y-1) - (Y-1))."""
-    ambient = Ring(("X", "Y", "U", "V"), field if field is not None else QQ)
+    ambient = Ring(("X", "Y", "U", "V"), field)
     X, Y, U, V = ambient.gens()
     gens = [U * (X * Y - 1) - (X - 1), V * (X * Y - 1) - (Y - 1)]
     return PresentedRing(ambient, Ideal(gens, GREVLEX), ambient.variables)
 
 
-def c1_alternate_ideal(field=None) -> Ideal:
+def c1_alternate_ideal(field=QQ) -> Ideal:
     """The second generating set of C1's ideal:
     (x*(u*v-1) + (v+1), y*(u*v-1) + (u+1))."""
-    ambient = Ring(("x", "y", "u", "v"), field if field is not None else QQ)
+    ambient = Ring(("x", "y", "u", "v"), field)
     x, y, u, v = ambient.gens()
     return Ideal([x * (u * v - 1) + (v + 1), y * (u * v - 1) + (u + 1)], GREVLEX)
 
@@ -114,7 +111,7 @@ def verify_ring_map(m: RingMap) -> bool:
     return True
 
 
-def c1_to_c2_map(field=None) -> RingMap:
+def c1_to_c2_map(field=QQ) -> RingMap:
     """(x, y, u, v) -> (U, V, -Y, -X), carrying C1's ideal onto C2's."""
     c1 = build_C1(field)
     c2 = build_C2(field)
@@ -170,17 +167,10 @@ def certify_irreducible(p: MultiPoly):
     present = p.variables_present()
     if len(present) == 1:
         return p.degree_in(present[0]) == 1
-    for v in present:
-        if p.degree_in(v) != 1:
-            continue
-        try:
-            dec = linear_decompose(p, v)
-        except ValueError:
-            continue
-        if not dec.common.is_constant():
-            return False  # p = common * residual is a proper factorization
-        return True  # c'*v + d' with gcd(c', d') = 1 is prime
-    return None
+    # p = common * residual is a proper factorization unless common is a
+    # constant, and c'*v + d' with gcd(c', d') = 1 is prime
+    dec = linear_form(p)
+    return None if dec is None else dec.common.is_constant()
 
 
 def relatively_prime(a: MultiPoly, b: MultiPoly):

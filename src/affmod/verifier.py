@@ -35,6 +35,8 @@ from .rings import (
 from .scalars import QQ, scalar_from_rational
 
 DEFAULT_LAMBDAS = (0, 1, 2, -1, Fraction(1, 2))
+# cmd_main_identities enumerates dX = dU + n*dX + dY over 0..DEGREE_BOUND
+DEGREE_BOUND = 10
 
 
 def _report(claim_id, description, transcript, failures=(), unknowns=(),
@@ -69,11 +71,10 @@ def _timed(fn):
 
 
 @_timed
-def cmd_fibers(n: int, lambdas=DEFAULT_LAMBDAS, field=None) -> VerificationReport:
+def cmd_fibers(n: int, lambdas=DEFAULT_LAMBDAS, field=QQ) -> VerificationReport:
     """Compare the computed fiber classes of x, u, y against the tabulated
     general / reducible / zero patterns."""
     _require_positive(n=n)
-    field = field if field is not None else QQ
     transcript = []
     failures = []
     unknowns = []
@@ -85,7 +86,7 @@ def cmd_fibers(n: int, lambdas=DEFAULT_LAMBDAS, field=None) -> VerificationRepor
             )
         else:
             usable.append(scalar_from_rational(field, lam))
-    rows = fiber_table(n, usable, field)
+    rows = fiber_table(build_Bn(n, field).defining.generators[0], usable)
     for row in rows:
         expected, note = expected_fiber_class(n, row.generator, row.lam, field)
         line = (
@@ -104,7 +105,7 @@ def cmd_fibers(n: int, lambdas=DEFAULT_LAMBDAS, field=None) -> VerificationRepor
 
 
 @_timed
-def cmd_takanori(field=None) -> VerificationReport:
+def cmd_takanori(field=QQ) -> VerificationReport:
     """Replay the literal isomorphism-chain computations between the two
     four-variable surface presentations and the n=1 modification ring.
 
@@ -185,7 +186,7 @@ def cmd_takanori(field=None) -> VerificationReport:
 
 
 @_timed
-def cmd_takanori_repaired(field=None) -> VerificationReport:
+def cmd_takanori_repaired(field=QQ) -> VerificationReport:
     """The isomorphism chain with the deficient presentation ideal enlarged
     to its saturation: I2 = (Y*U + V - 1, X*V + U - 1).
 
@@ -247,10 +248,10 @@ def cmd_takanori_repaired(field=None) -> VerificationReport:
 
 
 @_timed
-def cmd_samuel(n: int, field=None) -> VerificationReport:
+def cmd_samuel(n: int, field=QQ) -> VerificationReport:
     """Check the UFD-criterion hypotheses for a = x^n*y - 1, b = x - 1."""
     _require_positive(n=n)
-    base = Ring(("x", "y"), field if field is not None else QQ)
+    base = Ring(("x", "y"), field)
     x, y = base.var("x"), base.var("y")
     a, b = x**n * y - 1, x - 1
     rep = samuel_check(a, b)
@@ -283,12 +284,12 @@ def cmd_samuel(n: int, field=None) -> VerificationReport:
 
 
 @_timed
-def cmd_localization(n: int, field=None) -> VerificationReport:
+def cmd_localization(n: int, field=QQ) -> VerificationReport:
     """Generator inter-expressibility of k[x^{+-1}, y, t^{+-1}] with
     t = x^n*y - 1: inverting x turns the modification chart into a
     two-variable Laurent ring."""
     _require_positive(n=n)
-    base = Ring(("x", "y"), field if field is not None else QQ)
+    base = Ring(("x", "y"), field)
     x, y = base.var("x"), base.var("y")
     t = x**n * y - 1
     transcript = []
@@ -317,12 +318,12 @@ def cmd_localization(n: int, field=None) -> VerificationReport:
 
 
 @_timed
-def cmd_main_identities(n: int, field=None, degree_bound: int = 10) -> VerificationReport:
+def cmd_main_identities(n: int, field=QQ) -> VerificationReport:
     """The two exact polynomial identities behind the non-isomorphism
     argument (configuration m=1 < n), plus the degree bookkeeping
     enumeration for the complementary case."""
     _require_positive(n=n)
-    ring = Ring(("x", "y", "Y", "c"), field if field is not None else QQ)
+    ring = Ring(("x", "y", "Y", "c"), field)
     x, y, Y, c = ring.gens()
     transcript = []
 
@@ -357,14 +358,14 @@ def cmd_main_identities(n: int, field=None, degree_bound: int = 10) -> Verificat
     # degree bookkeeping: dX = dU + n*dX + dY over non-negative integers
     solutions = [
         (dx, dy, du)
-        for dx, dy, du in product(range(degree_bound + 1), repeat=3)
+        for dx, dy, du in product(range(DEGREE_BOUND + 1), repeat=3)
         if dx == du + n * dx + dy
     ]
     if n >= 2:
         enum_ok = solutions == [(0, 0, 0)]
         transcript.append(
             f"non-negative solutions of dX = dU + {n}*dX + dY, all <= "
-            f"{degree_bound}: {solutions}"
+            f"{DEGREE_BOUND}: {solutions}"
         )
     else:
         enum_ok = all(dy == 0 and du == 0 for _, dy, du in solutions)
@@ -503,13 +504,13 @@ CHECKS = {check.name: check for check in (
 )}
 
 
-def run_all(field=None, n_values=(1, 2, 3, 4, 5), lambdas=DEFAULT_LAMBDAS) -> list:
+def run_all(field=QQ, n_values=(1, 2, 3, 4, 5)) -> list:
     """Every check of the registry at its default parameters and each of its
     sweep's n values, sorted by claim id."""
     reports = []
     for check in CHECKS.values():
         defaults = {p.dest: p.default for p in check.params}
         for n in check.sweep(n_values) if check.sweep else ():
-            params = SimpleNamespace(**defaults | {"n": n, "lambdas": lambdas})
+            params = SimpleNamespace(**defaults | {"n": n})
             reports.extend(check.run(params, field))
     return sorted(reports, key=lambda r: r.claim_id)

@@ -19,7 +19,6 @@ from affmod import (
     AFFINE_LINE,
     GREVLEX,
     Ideal,
-    WeightDegree,
     buchberger_gb,
     divide_multi,
     format_poly,
@@ -36,7 +35,7 @@ from affmod import (
 from affmod.degrees import exhaustive_probe, probe_elements
 from affmod.fibers import fiber_table
 from affmod.poly import exact_div, reduce_mod
-from affmod.rings import build_C1, build_C2, c1_alternate_ideal, c1_to_c2_map
+from affmod.rings import build_Bn, build_C1, build_C2, c1_alternate_ideal, c1_to_c2_map
 
 from conftest import random_poly
 from naive_gb import naive_buchberger
@@ -80,7 +79,7 @@ def test_1_fiber_table_reproduction():
             else:
                 expected[("u", 1)] = two_lines
                 expected[("y", 1)] = two_lines
-            for row in fiber_table(n, lambdas):
+            for row in fiber_table(build_Bn(n).defining.generators[0], lambdas):
                 assert row.curve_class == expected[(row.generator, row.lam)], (
                     n,
                     row.generator,
@@ -197,10 +196,10 @@ def test_4_degree_rigidity_weight_probe():
         assert len(results) == 5 * (11 * 11 - 1)
         assert all(r["verdict"] == "witness" for r in results)
         # regression fixture: the probe without v misses exactly this weight
-        r = probe_nonnegativity(probe_elements(1, ("x", "y", "u")), WeightDegree((1, 0)))
-        assert r.verdict == "no-witness"
-        r = probe_nonnegativity(probe_elements(1), WeightDegree((1, 0)))
-        assert r.verdict == "witness" and r.witness == "v"
+        r = probe_nonnegativity(probe_elements(1, ("x", "y", "u")), (1, 0))
+        assert r["verdict"] == "no-witness"
+        r = probe_nonnegativity(probe_elements(1), (1, 0))
+        assert r["verdict"] == "witness" and r["witness"] == "v"
 
 
 def test_5_localization_identity():
@@ -279,6 +278,6 @@ def test_7_kernel_property_suites():
             q = random_poly(rng, RXY, max_terms=4, max_exp=4)
             if p.is_zero or q.is_zero:
                 continue
-            w = WeightDegree((rng.randint(-5, 5), rng.randint(-5, 5)))
+            w = (rng.randint(-5, 5), rng.randint(-5, 5))
             assert weight_degree(p * q, w) == weight_degree(p, w) + weight_degree(q, w)
             done += 1

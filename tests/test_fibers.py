@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +17,16 @@ from affmod import (
     ring,
     union,
 )
-from affmod.scalars import PrimeField
+from affmod import fibers, rings, verifier
+from affmod.scalars import QQ, PrimeField
 
 RXY = ring("x", "y")
 RYU = ring("y", "u")
+
+
+def relation(n, field=QQ):
+    """The relation of B_n, which fiber_poly and fiber_table specialize."""
+    return build_Bn(n, field).defining.generators[0]
 RXU = ring("x", "u")
 
 
@@ -102,46 +110,69 @@ class TestClassify:
 
 class TestFiberPoly:
     def test_x_fiber(self):
-        p = fiber_poly(2, "x", 2)
+        p = fiber_poly(relation(2), "x", 2)
         y, u = RYU.gens()
         assert p.substitute({"x": 0}, target=RYU) == u * (4 * y - 1) - 1
 
     def test_rejects_unknown_generator(self):
         with pytest.raises(ValueError):
-            fiber_poly(2, "v", 1)
+            fiber_poly(relation(2), "v", 1)
 
     def test_relation_specializes(self):
         rel = build_Bn(3).defining.generators[0]
-        assert fiber_poly(3, "u", 0) == rel.substitute({"u": 0})
+        assert fiber_poly(rel, "u", 0) == rel.substitute({"u": 0})
+
+
+    def test_cmd_fibers_builds_Bn_once(self, monkeypatch):
+        built = []
+
+        def counting(n, field=QQ):
+            built.append(n)
+            return build_Bn(n, field)
+
+        for module in (rings, verifier):
+            monkeypatch.setattr(module, "build_Bn", counting)
+        assert verifier.cmd_fibers(30).status == "verified"
+        assert built == [30]
+
+    def test_fibers_imports_nothing_from_rings(self):
+        """rings imports fibers, so an import the other way is a cycle."""
+        names = []
+        for node in ast.walk(ast.parse(Path(fibers.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        assert not [name for name in names if "rings" in name.split(".")]
 
 
 class TestFiberClassification:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_table_matches_expected(self, n):
         lambdas = [0, 1, 2, -1, Fraction(1, 2)]
-        for row in fiber_table(n, lambdas):
+        for row in fiber_table(relation(n), lambdas):
             expected, _note = expected_fiber_class(n, row.generator, row.lam)
             assert row.curve_class == expected, (n, row.generator, row.lam)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_y_fibers_detect_n(self, n):
         # the generic y-fiber has exactly n punctures: it recovers n
-        assert classify_curve(fiber_poly(n, "y", 2)) == punctured_line(n)
-        assert classify_curve(fiber_poly(n, "y", -3)) == punctured_line(n)
+        assert classify_curve(fiber_poly(relation(n), "y", 2)) == punctured_line(n)
+        assert classify_curve(fiber_poly(relation(n), "y", -3)) == punctured_line(n)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_reducible_fibers(self, n):
-        assert classify_curve(fiber_poly(n, "u", 1)) == union(
+        assert classify_curve(fiber_poly(relation(n), "u", 1)) == union(
             [AFFINE_LINE, punctured_line(1)]
         )
-        assert classify_curve(fiber_poly(n, "y", 1)) == union(
+        assert classify_curve(fiber_poly(relation(n), "y", 1)) == union(
             [AFFINE_LINE, punctured_line(n - 1)]
         )
 
     def test_n1_degenerations(self):
         two_lines = union([AFFINE_LINE, AFFINE_LINE])
-        assert classify_curve(fiber_poly(1, "u", 1)) == two_lines
-        assert classify_curve(fiber_poly(1, "y", 1)) == two_lines
+        assert classify_curve(fiber_poly(relation(1), "u", 1)) == two_lines
+        assert classify_curve(fiber_poly(relation(1), "y", 1)) == two_lines
         for gen in ("u", "y"):
             expected, note = expected_fiber_class(1, gen, 1)
             assert expected == two_lines and note is not None
@@ -149,16 +180,16 @@ class TestFiberClassification:
     def test_generic_x_and_u_fibers_are_once_punctured(self):
         for n in (1, 2, 3):
             for lam in (2, -1, Fraction(1, 2)):
-                assert classify_curve(fiber_poly(n, "x", lam)) == punctured_line(1)
-                assert classify_curve(fiber_poly(n, "u", lam)) == punctured_line(1)
+                assert classify_curve(fiber_poly(relation(n), "x", lam)) == punctured_line(1)
+                assert classify_curve(fiber_poly(relation(n), "u", lam)) == punctured_line(1)
 
     def test_zero_fibers_are_lines(self):
         for gen in ("x", "u", "y"):
-            assert classify_curve(fiber_poly(3, gen, 0)) == AFFINE_LINE
+            assert classify_curve(fiber_poly(relation(3), gen, 0)) == AFFINE_LINE
 
     def test_every_fiber_is_nonempty_and_reduced_class(self):
         for n in (1, 2, 3):
-            for row in fiber_table(n, [0, 1, 2, -1]):
+            for row in fiber_table(relation(n), [0, 1, 2, -1]):
                 assert row.curve_class.kind in ("line", "punctured", "union")
 
     @pytest.mark.parametrize(
@@ -179,7 +210,7 @@ class TestFiberClassification:
             got, note = expected_fiber_class(n, "y", lam, field=fp)
             assert got == expected
             assert (note is not None) == (n % p == 0)
-            computed = classify_curve(fiber_poly(n, "y", fp.from_int(lam), field=fp))
+            computed = classify_curve(fiber_poly(relation(n, fp), "y", fp.from_int(lam)))
             assert computed.kind == "unknown" or computed == expected
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -188,10 +219,10 @@ class TestFiberClassification:
         fp = PrimeField(p)
         expected, _ = expected_fiber_class(p, "y", 1, field=fp)
         assert expected == union([AFFINE_LINE, punctured_line(1)])
-        assert classify_curve(fiber_poly(p, "y", fp.one, field=fp)) == expected
+        assert classify_curve(fiber_poly(relation(p, fp), "y", fp.one)) == expected
 
     def test_prime_field_small_cases(self):
         fp = PrimeField(101)
-        assert classify_curve(fiber_poly(2, "y", fp.from_int(3), field=fp)) == punctured_line(2)
+        assert classify_curve(fiber_poly(relation(2, fp), "y", fp.from_int(3))) == punctured_line(2)
         expected, _ = expected_fiber_class(2, "y", 3, field=fp)
         assert expected == punctured_line(2)

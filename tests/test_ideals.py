@@ -171,8 +171,9 @@ class TestIdeal:
 
     def test_is_proper(self, rxy):
         x, y = rxy.gens()
-        assert Ideal([x * y - 1]).is_proper()
-        assert not Ideal([x, y, x - y + 1]).is_proper()
+        one = rxy.one()
+        assert not Ideal([x * y - 1]).contains(one)
+        assert Ideal([x, y, x - y + 1]).contains(one)
 
 
 class TestIdealsEqual:

@@ -438,6 +438,24 @@ class TestLinearDecompose:
                 assert g == r.one()
 
 
+    @given(field=st.sampled_from([QQ, PrimeField(7)]),
+           abcd=st.lists(st.fractions(-3, 3, max_denominator=3), min_size=4, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_linear_variable_does_not_change_the_verdict(self, field, abcd):
+        """p = a*x*y + b*x + c*y + d has a nonconstant common factor in both
+        decompositions exactly when ad = bc, so linear_form's choice of
+        variable cannot change a verdict; both c' have one degree, so its
+        first variable is also the one of least c' degree."""
+        r = ring("x", "y", field=field)
+        x, y = r.gens()
+        a, b, c, d = (r.const(e) for e in abcd)
+        p = a * x * y + b * x + c * y + d
+        assume(p.degree_in("x") == 1 and p.degree_in("y") == 1)
+        by_x, by_y = (linear_decompose(p, v) for v in "xy")
+        assert by_x.common.is_constant() == by_y.common.is_constant() == (a * d != b * c)
+        assert by_x.c_prime.total_degree() == by_y.c_prime.total_degree()
+
+
 class TestNegativeWeightMonomials:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_negative_weight_forces_y_factor(self, m):

@@ -44,15 +44,16 @@ class TestBuilders:
     def test_bn_relation(self, n):
         b = build_Bn(n)
         x, y, u = b.ambient.gens()
-        assert b.is_proper()
+        assert not b.defining.contains(b.ambient.one())
         assert b.defining.contains(u * (x**n * y - 1) - (x - 1))
 
     @pytest.mark.parametrize("field", [None, PrimeField(3)])
     def test_bn_is_the_modification(self, field):
-        base = ring("x", "y", field=field)
+        field_arg = {} if field is None else {"field": field}  # None: the default
+        base = ring("x", "y", **field_arg)
         x, y = base.gens()
         for n in (1, 2, 5):
-            b, m = build_Bn(n, field), build_modification(x**n * y - 1, x - 1)
+            b, m = build_Bn(n, **field_arg), build_modification(x**n * y - 1, x - 1)
             assert (b.ambient, b.defining.generators, b.generators) == (
                 m.ambient, m.defining.generators, m.generators)
 
@@ -68,13 +69,13 @@ class TestBuilders:
             build_modification(x * y - 1, RXY.zero())
 
     def test_c1_c2_proper(self):
-        assert build_C1().is_proper()
-        assert build_C2().is_proper()
+        for c in (build_C1(), build_C2()):
+            assert not c.defining.contains(c.ambient.one())
 
     def test_prime_field_builder(self):
         b = build_Bn(2, field=PrimeField(7))
         assert b.ambient.field == PrimeField(7)
-        assert b.is_proper()
+        assert not b.defining.contains(b.ambient.one())
 
 
 class TestQuotientEquality:
