@@ -4,26 +4,51 @@ exhaustive weight-family non-negativity probe.
 A weight is a tuple of integers, one per base-ring variable; the degree of
 a polynomial is the maximal weight over its monomials (-inf for 0), which is
 multiplicative and extends to fractions by deg(p/q) = deg p - deg q.
+
+Degrees are evaluated a column at a time: each function takes a list of
+weights and returns one value, or one probe row, per weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import mul
+from operator import add, itemgetter, sub
 
 from .poly import MultiPoly, Ring, ZeroPolynomialError
 
 NEG_INF = float("-inf")
 
 
-def weight_degree(p: MultiPoly, w: tuple):
-    """Max weight over the monomials of p; -inf for the zero polynomial."""
-    if len(w) != len(p.ring.variables):
+def _coordinates(weights: list, nvars: int) -> list:
+    """The coordinate columns of a list of weights, one per variable."""
+    if set(map(len, weights)) - {nvars}:
         raise ValueError("weight vector length does not match ring")
+    return [list(map(itemgetter(i), weights)) for i in range(nvars)]
+
+
+def _degree_column(p: MultiPoly, coords: list, size: int) -> list:
+    """deg p at each of size weights given by their coordinate columns: each
+    monomial m gives the column of m . w, and an elementwise max folds them."""
     if not p.terms:
-        return NEG_INF
-    return max([sum(map(mul, w, m)) for m in p.terms])
+        return [NEG_INF] * size
+    out = None
+    for m in p.terms:
+        col = None
+        for e, c in zip(m, coords):
+            if e:
+                term = c if e == 1 else [e * a for a in c]
+                col = term if col is None else list(map(add, col, term))
+        if col is None:
+            col = [0] * size
+        out = col if out is None else [a if a > b else b for a, b in zip(out, col)]
+    return out
+
+
+def weight_degree(p: MultiPoly, weights: list) -> list:
+    """Max weight over the monomials of p, one per weight; -inf for the zero
+    polynomial."""
+    return _degree_column(p, _coordinates(weights, p.ring.nvars), len(weights))
 
 
 @dataclass(frozen=True)
@@ -46,13 +71,12 @@ def fraction(numerator: MultiPoly, *inverted) -> LocalizedFraction:
     return LocalizedFraction(numerator, inverted)
 
 
-def valuation_degree(f: LocalizedFraction, w: tuple):
-    """deg(num) - the sum of deg over the inverted elements."""
-    d = weight_degree(f.numerator, w)
-    if d == NEG_INF:
-        return NEG_INF
+def valuation_degree(f: LocalizedFraction, weights: list) -> list:
+    """deg(num) - the sum of deg over the inverted elements, one per weight."""
+    coords = _coordinates(weights, f.numerator.ring.nvars)
+    d = _degree_column(f.numerator, coords, len(weights))
     for elt in f.inverted:
-        d -= weight_degree(elt, w)
+        d = list(map(sub, d, _degree_column(elt, coords, len(weights))))
     return d
 
 
@@ -79,23 +103,24 @@ def probe_elements(n: int, names=DEFAULT_PROBE) -> dict:
     return {name: available[name] for name in names}
 
 
-def probe_nonnegativity(elements: dict, w: tuple) -> dict:
-    """Find a probe element of negative degree under w, if any, trying the
-    elements built by probe_elements in order.
+def probe_nonnegativity(elements: dict, weights: list) -> list:
+    """For each weight, find a probe element of negative degree under it, if
+    any: the first one in the order probe_elements built them.
 
-    Returns {"verdict", "witness", "degree"}, the verdict one of
-    "trivial-ok" (w = 0), "witness" and "no-witness".  Every nonzero weight
-    admits a witness (the finitary face of the degree-rigidity statement);
-    the restricted probe without v misses the weight (1, 0) at n = 1, which
-    is why "no-witness" is representable.
+    Returns one {"verdict", "witness", "degree"} row per weight, the verdict
+    one of "trivial-ok" (w = 0), "witness" and "no-witness".  Every nonzero
+    weight admits a witness (the finitary face of the degree-rigidity
+    statement); the restricted probe without v misses the weight (1, 0) at
+    n = 1, which is why "no-witness" is representable.
     """
-    if not any(w):
-        return {"verdict": "trivial-ok", "witness": "", "degree": None}
+    rows = [None if any(w) else {"verdict": "trivial-ok", "witness": "", "degree": None}
+            for w in weights]
     for name, elt in elements.items():
-        d = valuation_degree(elt, w)
-        if d < 0:
-            return {"verdict": "witness", "witness": name, "degree": d}
-    return {"verdict": "no-witness", "witness": "", "degree": None}
+        rows = [{"verdict": "witness", "witness": name, "degree": d}
+                if row is None and d < 0 else row
+                for row, d in zip(rows, valuation_degree(elt, weights))]
+    return [{"verdict": "no-witness", "witness": "", "degree": None} if row is None else row
+            for row in rows]
 
 
 def exhaustive_probe(n_values, box: int, names=DEFAULT_PROBE) -> list:
@@ -103,11 +128,9 @@ def exhaustive_probe(n_values, box: int, names=DEFAULT_PROBE) -> list:
 
     Returns a list of dicts {n, weight, verdict, witness, degree}.
     """
+    weights = [w for w in product(range(-box, box + 1), repeat=2) if any(w)]
     results = []
     for n in n_values:
-        elements = probe_elements(n, names)
-        for w in product(range(-box, box + 1), repeat=2):
-            if w != (0, 0):
-                results.append({"n": n, "weight": list(w)}
-                               | probe_nonnegativity(elements, w))
+        rows = probe_nonnegativity(probe_elements(n, names), weights)
+        results += [{"n": n, "weight": list(w), **row} for w, row in zip(weights, rows)]
     return results

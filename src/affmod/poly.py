@@ -127,11 +127,8 @@ class MultiPoly:
     __slots__ = ("ring", "terms", "_hash", "_lead")
 
     def __init__(self, ring: Ring, terms: dict):
-        zero = ring.field.zero
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(
-            self, "terms", {m: c for m, c in terms.items() if c != zero}
-        )
+        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_lead", None)
 
@@ -183,7 +180,8 @@ class MultiPoly:
         f = self.ring.field
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = f.add(out.get(m, f.zero), c)
+            old = out.get(m)
+            out[m] = c if old is None else f.add(old, c)
         return MultiPoly(self.ring, out)
 
     __radd__ = __add__
@@ -211,15 +209,21 @@ class MultiPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                out[m] = f.add(out.get(m, f.zero), f.mul(c1, c2))
+                c = f.mul(c1, c2)
+                old = out.get(m)
+                out[m] = c if old is None else f.add(old, c)
         return MultiPoly(self.ring, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        """Repeated squaring: about 2 log2(n) multiplications."""
+        """A single term is raised directly, anything else by repeated
+        squaring: about 2 log2(n) multiplications."""
         if n < 0:
             raise ValueError("negative exponent")
+        if n and len(self.terms) == 1:
+            ((m, c),) = self.terms.items()
+            return MultiPoly(self.ring, {tuple([e * n for e in m]): self.ring.field.pow(c, n)})
         out, base = None, self
         while n:
             if n & 1:
@@ -439,12 +443,17 @@ def _dense(p: MultiPoly, v: str) -> list:
 def _poly(a: list, lc, ring_: Ring, v: str) -> MultiPoly:
     """The polynomial in v with the nonzero coefficient list a, scaled to
     leading coefficient lc."""
-    f = ring_.field
-    s = f.mul(lc, f.inv(f.from_int(a[-1])))
+    char = ring_.field.char
+    terms = [(k, c) for k, c in enumerate(a) if c]
+    if char:
+        s = lc * pow(a[-1], -1, char) % char
+        terms = [(k, c * s % char) for k, c in terms]
+    else:  # one normalisation per coefficient
+        s = Fraction(lc, a[-1])
+        terms = [(k, Fraction(c * s.numerator, s.denominator)) for k, c in terms]
     zero = (0,) * ring_.nvars
     i = ring_.index(v)
-    return MultiPoly(ring_, {zero[:i] + (k,) + zero[i + 1:]: f.mul(f.from_int(c), s)
-                             for k, c in enumerate(a) if c})
+    return MultiPoly(ring_, {zero[:i] + (k,) + zero[i + 1:]: c for k, c in terms})
 
 
 def _normalize(a: list, char: int) -> list:

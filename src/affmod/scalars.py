@@ -47,17 +47,11 @@ class RationalField:
     """The field of rationals, characteristic 0."""
 
     char = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -67,6 +61,9 @@ class RationalField:
 
     def mul(self, a, b):
         return a * b
+
+    def pow(self, a, n: int):
+        return a**n
 
     def inv(self, a):
         if a == 0:
@@ -91,6 +88,8 @@ class PrimeField:
     """The field F_p for a prime p; elements are ints reduced mod p."""
 
     p: int
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -103,14 +102,6 @@ class PrimeField:
     def from_int(self, n: int) -> int:
         return n % self.p
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -119,6 +110,9 @@ class PrimeField:
 
     def mul(self, a, b):
         return (a * b) % self.p
+
+    def pow(self, a, n: int):
+        return pow(a, n, self.p)
 
     def inv(self, a):
         if a % self.p == 0:

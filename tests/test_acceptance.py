@@ -196,9 +196,9 @@ def test_4_degree_rigidity_weight_probe():
         assert len(results) == 5 * (11 * 11 - 1)
         assert all(r["verdict"] == "witness" for r in results)
         # regression fixture: the probe without v misses exactly this weight
-        r = probe_nonnegativity(probe_elements(1, ("x", "y", "u")), (1, 0))
+        r, = probe_nonnegativity(probe_elements(1, ("x", "y", "u")), [(1, 0)])
         assert r["verdict"] == "no-witness"
-        r = probe_nonnegativity(probe_elements(1), (1, 0))
+        r, = probe_nonnegativity(probe_elements(1), [(1, 0)])
         assert r["verdict"] == "witness" and r["witness"] == "v"
 
 
@@ -279,5 +279,6 @@ def test_7_kernel_property_suites():
             if p.is_zero or q.is_zero:
                 continue
             w = (rng.randint(-5, 5), rng.randint(-5, 5))
-            assert weight_degree(p * q, w) == weight_degree(p, w) + weight_degree(q, w)
+            (dpq,), (dp,), (dq,) = (weight_degree(f, [w]) for f in (p * q, p, q))
+            assert dpq == dp + dq
             done += 1

@@ -18,6 +18,8 @@ from affmod import (
     squarefree_part,
 )
 from affmod.poly import (
+    MultiPoly,
+    Ring,
     RingMismatchError,
     ZeroPolynomialError,
     mono_divides,
@@ -75,6 +77,31 @@ class TestArithmetic:
         assert (p * q) * r == p * (q * r)
         assert p * (q + r) == p * q + p * r
         assert p + (-p) == RXY.zero()
+
+
+
+class TestZeroCoefficients:
+    """No stored coefficient is zero, so structural equality is equality."""
+
+    @given(data=st.data(), field=st.sampled_from(FIELDS), cancel=st.integers(0, 5))
+    @settings(max_examples=150)
+    def test_cancelling_arithmetic_stores_no_zero(self, data, field, cancel):
+        r = Ring(("x", "y"), field)
+        p, q = data.draw(poly_strategy(r)), data.draw(poly_strategy(r))
+        # q minus some of p's terms, so that p + q cancels them
+        q = q - MultiPoly(r, dict(list(p.terms.items())[:cancel]))
+        results = {
+            "p + q": p + q, "p - q": p - q, "p * q": p * q,
+            "(p + q) - q": (p + q) - q, "p - p": p - p,
+            "p.scale(0)": p.scale(0), "(p + q) * (p - q)": (p + q) * (p - q),
+            "p * p - q * q": p * p - q * q,
+        }
+        for name, res in results.items():
+            assert all(c != field.zero for c in res.terms.values()), name
+        zero = r.zero()
+        for lhs, rhs in (("(p + q) - q", p), ("p - p", zero), ("p.scale(0)", zero),
+                         ("(p + q) * (p - q)", results["p * p - q * q"])):
+            assert results[lhs] == rhs and hash(results[lhs]) == hash(rhs), lhs
 
 
 class TestSubstitute:
@@ -155,7 +182,7 @@ class TestPower:
     def test_matches_repeated_multiplication(self, field):
         r = ring("x", "y", field=field)
         x, y = r.gens()
-        for p in (2 * x * y - x + 3, x, r.zero(), r.const(5)):
+        for p in (2 * x * y - x + 3, x, r.zero(), r.const(5), (x**2 * y).scale(Fraction(-2, 3))):
             expected = r.one()
             for k in range(13):
                 assert p**k == expected

@@ -42,6 +42,11 @@ class TestPrimeField:
                 field_from_spec(spec)
 
 
+def test_field_constants_are_shared():
+    assert QQ.zero is QQ.zero and QQ.one is QQ.one
+    assert QQ.zero == Fraction(0) and QQ.one == Fraction(1)
+    assert (GF7.zero, GF7.one) == (0, 1)
+
 class TestScalarCoercion:
     """int and Fraction scalars take one path into the coefficient field."""
 
