@@ -59,7 +59,6 @@ from .degrees import (
     fraction,
     probe_nonnegativity,
     valuation_degree,
-    weight_degree,
 )
 from .report import VerificationReport
 

@@ -18,6 +18,16 @@ from .scalars import field_from_spec
 FIELD_ENV_VAR = "AFFMOD_FIELD"
 
 
+def json_path(text: str) -> str:
+    """argparse type of --json: a path that can be opened for writing, tried
+    before any check runs, else a usage error."""
+    try:
+        open(text, "a").close()
+    except OSError as e:
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}: {e.strerror}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="affmod",
@@ -32,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="coefficient field: 'rational' or 'fp:PRIME' "
         f"(default from ${FIELD_ENV_VAR} or rational)",
     )
-    common.add_argument("--json", metavar="PATH", help="write JSON-lines report")
+    common.add_argument("--json", metavar="PATH", type=json_path,
+                        help="write JSON-lines report")
     common.add_argument("--quiet", action="store_true", help="suppress the summary")
 
     sub = parser.add_subparsers(dest="command", required=True)

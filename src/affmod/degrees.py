@@ -45,12 +45,6 @@ def _degree_column(p: MultiPoly, coords: list, size: int) -> list:
     return out
 
 
-def weight_degree(p: MultiPoly, weights: list) -> list:
-    """Max weight over the monomials of p, one per weight; -inf for the zero
-    polynomial."""
-    return _degree_column(p, _coordinates(weights, p.ring.nvars), len(weights))
-
-
 @dataclass(frozen=True)
 class LocalizedFraction:
     """numerator / product of inverted elements.

@@ -18,66 +18,44 @@ from .scalars import QQ, scalar_from_rational
 
 @dataclass(frozen=True)
 class CurveClass:
-    """One of: Empty, AffineLine, PuncturedLine(r), Union(parts),
-    Unknown(reason)."""
+    """A disjoint union of affine lines, each punctured at finitely many
+    points: the sorted puncture counts, 0 for an affine line and () for
+    Empty.  Only an unknown class has a reason."""
 
-    kind: str  # "empty" | "line" | "punctured" | "union" | "unknown"
-    punctures: int = 0
-    parts: tuple = ()
+    punctures: tuple = ()
     reason: str = ""
 
     def __str__(self):
-        if self.kind == "empty":
+        if self.reason:
+            return f"Unknown({self.reason})"
+        if not self.punctures:
             return "Empty"
-        if self.kind == "line":
-            return "A^1"
-        if self.kind == "punctured":
-            return f"A^1_*{self.punctures}" if self.punctures != 1 else "A^1_*"
-        if self.kind == "union":
-            return " u ".join(str(p) for p in self.parts)
-        return f"Unknown({self.reason})"
+        return " u ".join("A^1" if r == 0 else "A^1_*" if r == 1 else f"A^1_*{r}"
+                          for r in self.punctures)
 
 
-EMPTY = CurveClass("empty")
-AFFINE_LINE = CurveClass("line")
+EMPTY = CurveClass()
+AFFINE_LINE = CurveClass((0,))
 
 
 def punctured_line(r: int) -> CurveClass:
     if r < 0:
         raise ValueError("negative puncture count")
-    if r == 0:
-        return AFFINE_LINE
-    return CurveClass("punctured", punctures=r)
+    return CurveClass((r,))
 
 
 def unknown(reason: str) -> CurveClass:
-    return CurveClass("unknown", reason=reason)
-
-
-def _part_key(c: CurveClass):
-    return (c.kind, c.punctures, c.reason)
+    return CurveClass(reason=reason)
 
 
 def union(parts) -> CurveClass:
-    """Flattened, canonically sorted union; singletons collapse."""
-    flat = []
+    """The disjoint union of known classes."""
+    punctures = []
     for p in parts:
-        if p.kind == "union":
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    if not flat:
-        return EMPTY
-    if len(flat) == 1:
-        return flat[0]
-    return CurveClass("union", parts=tuple(sorted(flat, key=_part_key)))
-
-
-def _classify_univariate(p: MultiPoly, v: str) -> CurveClass:
-    r = distinct_root_count(p, v)
-    if r == 0:
-        return EMPTY  # nonzero constant (or rootless unit-like factor)
-    return union([AFFINE_LINE] * r)
+        if p.reason:
+            raise ValueError(f"union with an unknown class: {p}")
+        punctures += p.punctures
+    return CurveClass(tuple(sorted(punctures)))
 
 
 def classify_curve(p: MultiPoly) -> CurveClass:
@@ -88,7 +66,7 @@ def classify_curve(p: MultiPoly) -> CurveClass:
     if len(present) == 0:
         return EMPTY
     if len(present) == 1:
-        return _classify_univariate(p, present[0])
+        return CurveClass((0,) * distinct_root_count(p, present[0]))
     if len(present) > 2:
         return unknown(f"more than two variables present: {present}")
 
@@ -97,18 +75,16 @@ def classify_curve(p: MultiPoly) -> CurveClass:
     if dec is None:
         return unknown("no variable of degree one with univariate coefficients")
 
-    components = []
+    punctures = []
     if not dec.common.is_constant():
         w = dec.common.variables_present()[0]
-        components.extend([AFFINE_LINE] * distinct_root_count(dec.common, w))
-    if dec.d_prime.is_zero:
-        components.append(AFFINE_LINE)  # the line v = 0
-    elif dec.c_prime.is_constant():
-        components.append(AFFINE_LINE)
+        punctures += [0] * distinct_root_count(dec.common, w)
+    if dec.d_prime.is_zero or dec.c_prime.is_constant():
+        punctures.append(0)  # the line v = 0, or the graph of v = -d'/c'
     else:
         w = dec.c_prime.variables_present()[0]
-        components.append(punctured_line(distinct_root_count(dec.c_prime, w)))
-    return union(components)
+        punctures.append(distinct_root_count(dec.c_prime, w))
+    return CurveClass(tuple(sorted(punctures)))
 
 
 # -- fibers of the coordinate functions on Spec B_n -------------------------

@@ -198,27 +198,13 @@ def colength(ideal: Ideal):
 
 def is_point_ideal(ideal: Ideal):
     """Coordinates (alpha, beta) when the reduced basis, under any order, is
-    {x - alpha, y - beta}; None otherwise."""
+    {x - alpha, y - beta}; None otherwise.  That is exactly when its leading
+    monomials are x and y, as the reduced tails are then constants."""
     if ideal.ring.nvars != 2:
         raise ValueError("point recognition needs a two-variable ring")
-    gb = ideal.groebner_basis
-    if len(gb) != 2:
+    by_lead = {g.leading(ideal.order)[0]: g for g in ideal.groebner_basis}
+    if sorted(by_lead) != [(0, 1), (1, 0)]:
         return None
-    coords = [None, None]
-    for g in gb:
-        if g.degree_in(g.ring.variables[0]) + g.degree_in(g.ring.variables[1]) != 1:
-            return None
-        for i, name in enumerate(g.ring.variables):
-            if g.degree_in(name) == 1:
-                lead = g.coefficient_in(name, 1)
-                rest = g.coefficient_in(name, 0)
-                if not lead.is_constant() or not rest.is_constant():
-                    return None
-                if coords[i] is not None:
-                    return None
-                fld = g.ring.field
-                coords[i] = fld.neg(fld.mul(rest.constant_value(),
-                                            fld.inv(lead.constant_value())))
-    if any(c is None for c in coords):
-        return None
-    return tuple(coords)
+    fld = ideal.ring.field
+    return tuple(fld.neg(by_lead[m].terms.get((0, 0), fld.zero))
+                 for m in ((1, 0), (0, 1)))

@@ -141,14 +141,6 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in m) for m in self.terms)
 
-    def constant_value(self):
-        """The scalar value of a constant polynomial."""
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        if self.is_zero:
-            return self.ring.field.zero
-        return next(iter(self.terms.values()))
-
     def variables_present(self) -> tuple:
         present = [False] * self.ring.nvars
         for m in self.terms:
@@ -265,11 +257,6 @@ class MultiPoly:
         return format_poly(self)
 
     # -- structure ----------------------------------------------------------
-
-    def total_degree(self) -> int:
-        if self.is_zero:
-            raise ZeroPolynomialError("degree of zero polynomial")
-        return max(sum(m) for m in self.terms)
 
     def degree_in(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
@@ -589,9 +576,9 @@ def distinct_root_count(p: MultiPoly, v: str) -> int:
 
 @dataclass(frozen=True)
 class LinearDecomposition:
-    """p = common * (c_prime * variable + d_prime) with gcd(c', d') = 1."""
+    """p = common * (c_prime * v + d_prime) with gcd(c', d') = 1, for the
+    variable v that p was split in."""
 
-    variable: str
     common: MultiPoly
     c_prime: MultiPoly
     d_prime: MultiPoly
@@ -617,7 +604,7 @@ def linear_decompose(p: MultiPoly, v: str) -> LinearDecomposition:
     c_prime, d_prime = (e if e.is_zero else _poly(_divide(_dense(e, w), b, char)[0],
                                                    e.leading(LEX)[1], p.ring, w)
                         for e in (c, d))
-    return LinearDecomposition(v, g, c_prime, d_prime)
+    return LinearDecomposition(g, c_prime, d_prime)
 
 
 def linear_form(p: MultiPoly):

@@ -143,7 +143,6 @@ class SamuelReport:
     a_irreducible: object
     b_irreducible: object
     relatively_prime: object
-    sum_ideal_is_point: bool
     point: object
     sum_colength: object
     quotient_a_class: CurveClass
@@ -173,19 +172,6 @@ def certify_irreducible(p: MultiPoly):
     return None if dec is None else dec.common.is_constant()
 
 
-def relatively_prime(a: MultiPoly, b: MultiPoly):
-    """Tri-state relative primality for certified-irreducible inputs:
-    two irreducibles are coprime unless they are associates."""
-    ia, ib = certify_irreducible(a), certify_irreducible(b)
-    if ia is not True or ib is not True:
-        return None
-    _, ca = a.leading(GREVLEX)
-    _, cb = b.leading(GREVLEX)
-    fld = a.ring.field
-    scaled = b.scale(fld.mul(ca, fld.inv(cb)))
-    return a != scaled
-
-
 def samuel_check(a: MultiPoly, b: MultiPoly) -> SamuelReport:
     """Check the hypotheses that make A[b/a] a UFD: a and b irreducible and
     coprime, (a, b) a single reduced point, and quotient curves A/aA a
@@ -194,21 +180,21 @@ def samuel_check(a: MultiPoly, b: MultiPoly) -> SamuelReport:
         raise ValueError("a and b must live in a common two-variable ring")
     a_irr = certify_irreducible(a)
     b_irr = certify_irreducible(b)
-    rel_prime = relatively_prime(a, b)
+    # two irreducibles are coprime unless they are associates
+    rel_prime = a.monic() != b.monic() if a_irr and b_irr else None
     sum_ideal = Ideal([a, b], GREVLEX)
     clen = colength(sum_ideal)
-    point = is_point_ideal(sum_ideal) if clen == 1 else None
-    is_pt = clen == 1 and point is not None
+    point = is_point_ideal(sum_ideal)
     qa = classify_curve(a)
     qb = classify_curve(b)
-    qa_ok = None if qa.kind == "unknown" else qa == punctured_line(1)
-    qb_ok = None if qb.kind == "unknown" else qb == AFFINE_LINE
+    qa_ok = None if qa.reason else qa == punctured_line(1)
+    qb_ok = None if qb.reason else qb == AFFINE_LINE
 
     checks = [
         ("a irreducible", a_irr),
         ("b irreducible", b_irr),
         ("a, b relatively prime", rel_prime),
-        ("(a, b) is a reduced point", is_pt),
+        ("(a, b) is a reduced point", clen == 1),
         ("A/aA is a once-punctured line", qa_ok),
         ("A/bA is an affine line", qb_ok),
     ]
@@ -224,7 +210,6 @@ def samuel_check(a: MultiPoly, b: MultiPoly) -> SamuelReport:
         a_irreducible=a_irr,
         b_irreducible=b_irr,
         relatively_prime=rel_prime,
-        sum_ideal_is_point=is_pt,
         point=point,
         sum_colength=clen,
         quotient_a_class=qa,

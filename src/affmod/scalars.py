@@ -70,9 +70,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
 
-    def to_str(self, a) -> str:
-        return str(a)
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -118,9 +115,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def to_str(self, a) -> str:
-        return str(a)
 
     def __repr__(self):
         return f"GF({self.p})"

@@ -96,7 +96,7 @@ def cmd_fibers(n: int, lambdas=DEFAULT_LAMBDAS, field=QQ) -> VerificationReport:
         if note:
             line += f" [note: {note}]"
         transcript.append(line)
-        if row.curve_class.kind == "unknown":
+        if row.curve_class.reason:
             unknowns.append(line)
         elif row.curve_class != expected:
             failures.append(line)
@@ -258,7 +258,7 @@ def cmd_samuel(n: int, field=QQ) -> VerificationReport:
     one = base.field.one
     point_ok = rep.point == (one, one)
     point_str = (
-        "(" + ", ".join(base.field.to_str(c) for c in rep.point) + ")"
+        "(" + ", ".join(map(str, rep.point)) + ")"
         if rep.point is not None
         else "none"
     )

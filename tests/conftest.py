@@ -71,12 +71,13 @@ def _bounded_poly(draw, r: Ring, max_terms: int, max_degree: int, max_coef=5):
 
 
 @st.composite
-def polys_over_fields(draw, counts=(1, 3), max_terms=3, max_degree=3, nvars=(2, 4)):
-    """(ring, order, polys): a random field among FIELDS, a random order among
+def polys_over_fields(draw, counts=(1, 3), max_terms=3, max_degree=3, nvars=(2, 4),
+                      fields=FIELDS):
+    """(ring, order, polys): a random field among fields, a random order among
     ORDERS, and counts[0]..counts[1] bounded polynomials in nvars[0]..nvars[1]
     variables."""
     n = draw(st.integers(*nvars))
-    r = Ring(tuple("xyzw"[:n]), draw(st.sampled_from(FIELDS)))
+    r = Ring(tuple("xyzw"[:n]), draw(st.sampled_from(fields)))
     order = draw(st.sampled_from(ORDERS))
     polys = [_bounded_poly(draw, r, max_terms, max_degree)
              for _ in range(draw(st.integers(*counts)))]

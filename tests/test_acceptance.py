@@ -22,6 +22,7 @@ from affmod import (
     buchberger_gb,
     divide_multi,
     format_poly,
+    fraction,
     ideals_equal,
     normal_form,
     parse_poly,
@@ -30,7 +31,7 @@ from affmod import (
     ring,
     samuel_check,
     union,
-    weight_degree,
+    valuation_degree,
 )
 from affmod.degrees import exhaustive_probe, probe_elements
 from affmod.fibers import fiber_table
@@ -279,6 +280,7 @@ def test_7_kernel_property_suites():
             if p.is_zero or q.is_zero:
                 continue
             w = (rng.randint(-5, 5), rng.randint(-5, 5))
-            (dpq,), (dp,), (dq,) = (weight_degree(f, [w]) for f in (p * q, p, q))
+            (dpq,), (dp,), (dq,) = (valuation_degree(fraction(f), [w])
+                                     for f in (p * q, p, q))
             assert dpq == dp + dq
             done += 1

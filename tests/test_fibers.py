@@ -1,5 +1,6 @@
 import ast
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,19 @@ class TestCurveClass:
 
     def test_singleton_collapses(self):
         assert union([punctured_line(2)]) == punctured_line(2)
+        assert union([]) == EMPTY and str(EMPTY) == "Empty"
+
+    @pytest.mark.parametrize("parts", list(permutations(
+        [punctured_line(3), AFFINE_LINE, punctured_line(1)])))
+    def test_mixed_union_is_sorted(self, parts):
+        mixed = union(parts)
+        assert str(mixed) == "A^1 u A^1_* u A^1_*3"
+        assert mixed.punctures == (0, 1, 3)
+
+    def test_union_rejects_unknown_part(self):
+        unknown = classify_curve(RXY.zero())
+        with pytest.raises(ValueError):
+            union([AFFINE_LINE, unknown])
 
     def test_negative_punctures_rejected(self):
         with pytest.raises(ValueError):
@@ -87,10 +101,10 @@ class TestClassify:
 
     def test_quadratic_in_both_is_unknown(self):
         x, y = RXY.gens()
-        assert classify_curve(x**2 * y**2 - 1).kind == "unknown"
+        assert classify_curve(x**2 * y**2 - 1).reason
 
     def test_zero_is_unknown(self):
-        assert classify_curve(RXY.zero()).kind == "unknown"
+        assert classify_curve(RXY.zero()).reason
 
     def test_substitution_invariance(self):
         # x -> x + 3, y -> y - 2 is an affine automorphism of the plane
@@ -190,7 +204,7 @@ class TestFiberClassification:
     def test_every_fiber_is_nonempty_and_reduced_class(self):
         for n in (1, 2, 3):
             for row in fiber_table(relation(n), [0, 1, 2, -1]):
-                assert row.curve_class.kind in ("line", "punctured", "union")
+                assert row.curve_class.punctures and not row.curve_class.reason
 
     @pytest.mark.parametrize(
         "p, n, y_one, y_lam",
@@ -211,7 +225,7 @@ class TestFiberClassification:
             assert got == expected
             assert (note is not None) == (n % p == 0)
             computed = classify_curve(fiber_poly(relation(n, fp), "y", fp.from_int(lam)))
-            assert computed.kind == "unknown" or computed == expected
+            assert computed.reason or computed == expected
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_y_one_fiber_at_n_equal_p_is_decided(self, p):

@@ -18,7 +18,7 @@ from affmod import (
 )
 from affmod.ideals import s_polynomial
 from affmod.poly import RingMismatchError, reduce_mod
-from affmod.scalars import PrimeField
+from affmod.scalars import QQ, PrimeField
 
 from conftest import ORDERS, poly_strategy, polys_over_fields, random_poly
 from naive_gb import naive_buchberger
@@ -271,3 +271,15 @@ class TestPointIdeal:
     def test_wrong_arity_rejected(self, rxyu):
         with pytest.raises(ValueError):
             is_point_ideal(Ideal([rxyu.var("x")]))
+
+    @given(polys_over_fields(counts=(1, 3), max_terms=3, max_degree=2, nvars=(2, 2),
+                             fields=(QQ, PrimeField(7))))
+    @settings(max_examples=300, deadline=None)
+    def test_point_exactly_at_colength_one(self, case):
+        r, order, gens = case
+        ideal = Ideal(gens, order)
+        point = is_point_ideal(ideal)
+        assert (point is not None) == (colength(ideal) == 1)
+        if point is not None:
+            at = dict(zip(r.variables, point))
+            assert all(g.substitute(at).is_zero for g in gens)

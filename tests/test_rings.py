@@ -16,7 +16,8 @@ from affmod import (
     samuel_check,
     verify_ring_map,
 )
-from affmod.rings import c1_alternate_ideal, c1_to_c2_map, certify_irreducible, relatively_prime
+from affmod import rings
+from affmod.rings import c1_alternate_ideal, c1_to_c2_map, certify_irreducible
 from affmod.scalars import PrimeField
 
 from conftest import in_ring
@@ -169,9 +170,9 @@ class TestIrreducibility:
 
     def test_relatively_prime(self):
         x, y = RXY.gens()
-        assert relatively_prime(x**2 * y - 1, x - 1) is True
-        assert relatively_prime(x - 1, 3 * x - 3) is False
-        assert relatively_prime(x**2, x - 1) is None
+        assert samuel_check(x**2 * y - 1, x - 1).relatively_prime is True
+        assert samuel_check(x - 1, 3 * x - 3).relatively_prime is False
+        assert samuel_check(x**2, x - 1).relatively_prime is None
 
 
 class TestSamuelCheck:
@@ -209,7 +210,15 @@ class TestSamuelCheck:
         rep = samuel_check(x**2 * y**2 + y - 1, x)
         assert rep.verdict == "unknown"
         assert rep.a_irreducible is None
-        assert rep.sum_ideal_is_point and rep.point == (0, 1)
+        assert rep.sum_colength == 1 and rep.point == (0, 1)
+
+    def test_certifies_each_curve_once(self, monkeypatch):
+        calls, real = [], certify_irreducible
+        monkeypatch.setattr(rings, "certify_irreducible",
+                            lambda p: calls.append(p) or real(p))
+        x, y = RXY.gens()
+        assert samuel_check(x**3 * y - 1, x - 1).verdict == "hypotheses-verified"
+        assert calls == [x**3 * y - 1, x - 1]
 
     def test_wrong_ring_rejected(self):
         r3 = ring("x", "y", "u")

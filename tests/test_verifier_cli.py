@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from affmod import GREVLEX, Ideal, ideals, ideals_equal, poly, ring
+from affmod import GREVLEX, Ideal, ideals, ideals_equal, poly, ring, verifier
 from affmod.cli import FIELD_ENV_VAR, build_parser, run
 from affmod.report import VerificationReport, summarize
 from affmod.rings import build_C2, c1_alternate_ideal, c1_to_c2_map
@@ -241,6 +241,16 @@ class TestCli:
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["claim_id"] == "degree-probe"
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_json_path_is_usage_error(self, capsys, monkeypatch, tmp_path, where):
+        path = tmp_path if where == "directory" else tmp_path / "missing" / "r.jsonl"
+        calls = _count_calls(monkeypatch, verifier, "cmd_samuel")
+        with pytest.raises(SystemExit) as exc:
+            run(["samuel", "--quiet", "--json", str(path)])
+        assert exc.value.code == 2
+        assert f"argument --json: cannot write {str(path)!r}" in capsys.readouterr().err
+        assert calls == []
 
     def test_field_flag(self):
         assert run(["samuel", "--n", "1", "--field", "fp:101", "--quiet"]) == 0
