@@ -20,11 +20,15 @@ FIELD_ENV_VAR = "AFFMOD_FIELD"
 
 def json_path(text: str) -> str:
     """argparse type of --json: a path that can be opened for writing, tried
-    before any check runs, else a usage error."""
+    before any check runs, else a usage error.  A file the trial creates is
+    removed again, so only a finished run leaves a report."""
+    existed = os.path.lexists(text)
     try:
         open(text, "a").close()
     except OSError as e:
         raise argparse.ArgumentTypeError(f"cannot write {text!r}: {e.strerror}")
+    if not existed:
+        os.remove(text)
     return text
 
 

@@ -45,6 +45,8 @@ def punctured_line(r: int) -> CurveClass:
 
 
 def unknown(reason: str) -> CurveClass:
+    if not reason:
+        raise ValueError("an unknown class needs a reason")
     return CurveClass(reason=reason)
 
 

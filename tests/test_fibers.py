@@ -19,6 +19,7 @@ from affmod import (
     union,
 )
 from affmod import fibers, rings, verifier
+from affmod.fibers import unknown
 from affmod.scalars import QQ, PrimeField
 
 RXY = ring("x", "y")
@@ -60,6 +61,11 @@ class TestCurveClass:
         mixed = union(parts)
         assert str(mixed) == "A^1 u A^1_* u A^1_*3"
         assert mixed.punctures == (0, 1, 3)
+
+    def test_unknown_needs_a_reason(self):
+        with pytest.raises(ValueError):
+            unknown("")
+        assert unknown("r").reason == "r" and unknown("r") != EMPTY
 
     def test_union_rejects_unknown_part(self):
         unknown = classify_curve(RXY.zero())

@@ -205,6 +205,7 @@ def _upoly(r, coeffs):
 
 def _dense_coeffs(f) -> list:
     """Coefficients of f in x, highest degree first; [] for zero."""
+    assert set(f.variables_present()) <= {"x"}, f"not univariate in x: {f}"
     return [f.terms.get((i,) + (0,) * (f.ring.nvars - 1), f.ring.field.zero)
             for i in range(f.degree_in("x"), -1, -1)]
 
@@ -223,6 +224,12 @@ def _assert_gcd_matches(p, q, v):
 
 
 class TestUnivariateGcd:
+    def test_dense_coeffs_rejects_other_variables(self, rxy):
+        x, y = rxy.gens()
+        assert _dense_coeffs(2 * x - 1) == [2, -1]
+        with pytest.raises(AssertionError):
+            _dense_coeffs(x - 1 + y)
+
     def test_euclid(self, rxy):
         x, _ = rxy.gens()
         assert gcd_univariate(x**3 - 1, x - 1, "x") == x - 1

@@ -252,6 +252,17 @@ class TestCli:
         assert f"argument --json: cannot write {str(path)!r}" in capsys.readouterr().err
         assert calls == []
 
+    def test_json_path_left_alone_on_later_usage_error(self, tmp_path):
+        new = tmp_path / "new.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run(["samuel", "--json", str(new), "--n", "0"])
+        assert exc.value.code == 2 and not new.exists()
+        old = tmp_path / "old.jsonl"
+        old.write_text("kept\n")
+        with pytest.raises(SystemExit):
+            run(["samuel", "--json", str(old), "--n", "0"])
+        assert old.read_text() == "kept\n"
+
     def test_field_flag(self):
         assert run(["samuel", "--n", "1", "--field", "fp:101", "--quiet"]) == 0
 
