@@ -35,7 +35,6 @@ from .ideals import (
 )
 from .rings import (
     PresentedRing,
-    RingMap,
     SamuelReport,
     build_Bn,
     build_C1,

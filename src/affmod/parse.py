@@ -61,9 +61,11 @@ def tokenize(text: str) -> list:
             continue
         if ch == "#":
             break
-        if ch.isdigit():
+        # isdigit alone takes superscripts, which int() rejects, and other
+        # scripts' digits, which int() reads as ASCII ones
+        if ch.isascii() and ch.isdigit():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isascii() and text[j].isdigit():
                 j += 1
             tokens.append(Token("int", text[i:j], i))
             i = j

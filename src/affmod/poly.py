@@ -299,17 +299,12 @@ class MultiPoly:
     def substitute(self, bindings: dict, target: Ring = None) -> "MultiPoly":
         """Simultaneously substitute polynomials (or scalars) for variables.
 
+        The result lies in target, by default this polynomial's own ring.
         Unbound variables are carried over by name into the target ring.
         """
         for name in bindings:
             self.ring.index(name)  # raises KeyError for unknown variables
-        if target is None:
-            for v in bindings.values():
-                if isinstance(v, MultiPoly):
-                    target = v.ring
-                    break
-            else:
-                target = self.ring
+        target = target or self.ring
         images = []
         for name in self.ring.variables:
             v = bindings.get(name)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fibers import AFFINE_LINE, CurveClass, classify_curve, punctured_line
-from .ideals import Ideal, colength, ideals_equal, is_point_ideal, normal_form
+from .ideals import Ideal, colength, is_point_ideal, normal_form
 from .poly import GREVLEX, MultiPoly, Ring, linear_form
 from .scalars import QQ
 
@@ -22,11 +22,8 @@ class PresentedRing:
     defining: Ideal
     generators: tuple  # display names of the designated generators
 
-    def normal_form(self, p: MultiPoly) -> MultiPoly:
-        return normal_form(p, self.defining)
-
     def equal(self, p: MultiPoly, q: MultiPoly) -> bool:
-        return self.normal_form(p - q).is_zero
+        return normal_form(p - q, self.defining).is_zero
 
 
 def build_Bn(n: int, field=QQ) -> PresentedRing:
@@ -67,65 +64,24 @@ def c1_alternate_ideal(field=QQ) -> Ideal:
 # -- ring maps --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RingMap:
-    """A k-algebra map between presentations, given on ambient variables."""
-
-    source: PresentedRing
-    target: PresentedRing
-    images: dict  # source variable name -> MultiPoly in target ambient
-
-    def image_of(self, p: MultiPoly) -> MultiPoly:
-        return p.substitute(dict(self.images), target=self.target.ambient)
-
-
-def _is_signed_permutation(m: RingMap) -> bool:
-    seen = set()
-    for img in m.images.values():
-        if len(img.terms) != 1:
-            return False
-        (mono, c), = img.terms.items()
-        if sum(mono) != 1 or c not in (
-            img.ring.field.one,
-            img.ring.field.neg(img.ring.field.one),
-        ):
-            return False
-        if mono in seen:
-            return False
-        seen.add(mono)
-    return len(seen) == len(m.target.ambient.variables)
-
-
-def verify_ring_map(m: RingMap) -> bool:
+def verify_ring_map(relations: Ideal, target: PresentedRing, images: dict) -> bool:
     """Check the map is well-defined: every source relation maps into the
-    target ideal.  For signed variable permutations, additionally require the
-    image ideal to equal the target ideal."""
-    missing = set(m.source.ambient.variables) - set(m.images)
+    target ideal.  A ring map is the dict of images of the source's ambient
+    variables, polynomials in the target's ambient ring."""
+    missing = set(relations.ring.variables) - set(images)
     if missing:
         raise ValueError(f"missing images for {sorted(missing)}")
-    image_gens = [m.image_of(g) for g in m.source.defining.generators]
-    if not all(m.target.defining.contains(g) for g in image_gens):
-        return False
-    if _is_signed_permutation(m):
-        return ideals_equal(Ideal(image_gens, GREVLEX), m.target.defining)
-    return True
-
-
-def c1_to_c2_map(field=QQ) -> RingMap:
-    """(x, y, u, v) -> (U, V, -Y, -X), carrying C1's ideal onto C2's."""
-    c1 = build_C1(field)
-    c2 = build_C2(field)
-    amb = c2.ambient
-    return RingMap(
-        source=c1,
-        target=c2,
-        images={
-            "x": amb.var("U"),
-            "y": amb.var("V"),
-            "u": -amb.var("Y"),
-            "v": -amb.var("X"),
-        },
+    return all(
+        target.defining.contains(g.substitute(images, target=target.ambient))
+        for g in relations.generators
     )
+
+
+def c1_to_c2_map(field=QQ) -> dict:
+    """(x, y, u, v) -> (U, V, -Y, -X) in C2's ambient ring, carrying C1's
+    ideal onto the saturation of C2's."""
+    X, Y, U, V = Ring(("X", "Y", "U", "V"), field).gens()
+    return {"x": U, "y": V, "u": -Y, "v": -X}
 
 
 # -- Samuel's criterion hypotheses ------------------------------------------

@@ -124,7 +124,7 @@ QQ = RationalField()
 
 
 def scalar_from_rational(field, value):
-    """Coerce an int or Fraction into the given field."""
+    """Coerce an int or Fraction into the given field; anything else is a TypeError."""
     if isinstance(value, int):
         return field.from_int(value)
     if isinstance(value, Fraction):
@@ -133,7 +133,7 @@ def scalar_from_rational(field, value):
         return field.mul(
             field.from_int(value.numerator), field.inv(field.from_int(value.denominator))
         )
-    return value
+    raise TypeError(f"not an exact scalar: {type(value).__name__} {value!r}")
 
 
 class FieldSpecError(ValueError, ArgumentTypeError):

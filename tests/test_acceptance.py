@@ -131,7 +131,7 @@ def test_2_two_generator_isomorphism_chain_as_stated():
         # the one literal step that holds: phi carries J's generators onto
         # the defining relations of C2
         phi = c1_to_c2_map()
-        images = [phi.image_of(g) for g in ideal_J.generators]
+        images = [g.substitute(phi, target=c2.ambient) for g in ideal_J.generators]
         assert images == c2.defining.generators
 
         # V = 1 - YU fails in C2: both relations vanish at X = Y = 1, U = 0,
@@ -163,7 +163,7 @@ def test_2b_isomorphism_chain_through_saturated_ideal():
         assert c2.defining.contains((X * Y - 1) * (V - 1 + Y * U))
 
         phi = c1_to_c2_map()
-        images = [phi.image_of(g) for g in c1.defining.generators]
+        images = [g.substitute(phi, target=amb2) for g in c1.defining.generators]
         assert ideals_equal(Ideal(images, GREVLEX), saturated)
 
         # eliminating V = 1 - Y*U identifies the quotient with the n=1 ring

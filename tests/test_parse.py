@@ -45,6 +45,15 @@ class TestParsePoly:
             parse_poly("x + z", RXY)
         assert exc.value.position == 4
 
+    @pytest.mark.parametrize("text, position", [("x^\u00b2", 2), ("\u0663*x", 0)],
+                             ids=["superscript-two", "arabic-indic-three"])
+    def test_non_ascii_digit_rejected(self, text, position):
+        # str.isdigit accepts both; int() rejects the first and reads the
+        # second as 3
+        with pytest.raises(ParseError, match="unexpected character") as exc:
+            parse_poly(text, RXY)
+        assert exc.value.position == position
+
     def test_precedence(self):
         x, y = RXY.gens()
         assert parse_poly("2*x^3 + x*y - 4", RXY) == 2 * x**3 + x * y - 4
@@ -117,7 +126,7 @@ class TestFormat:
     def test_round_trip(self, p):
         assert parse_poly(format_poly(p), RXYU) == p
 
-    @given(text=st.text(alphabet="xyu1230+-*/^() ", max_size=30))
+    @given(text=st.text(alphabet="xyu1230+-*/^() \u00b2\u0663", max_size=30))
     @settings(max_examples=300)
     def test_no_crash_on_adversarial_input(self, text):
         try:

@@ -123,6 +123,14 @@ class TestSubstitute:
         with pytest.raises(KeyError):
             rxy.var("x").substitute({"z": 1})
 
+    def test_cross_ring_binding_needs_target(self, rxy, rxyu):
+        # the result lands in the polynomial's own ring unless told otherwise
+        p = rxy.var("x") * rxy.var("y")
+        with pytest.raises(RingMismatchError):
+            p.substitute({"x": rxyu.var("u")})
+        assert p.substitute({"x": rxyu.var("u")}, target=rxyu) == (
+            rxyu.var("u") * rxyu.var("y"))
+
 
 class TestLeadingTerm:
     def test_grevlex(self, rxy):

@@ -7,11 +7,9 @@ from affmod import (
     Ideal,
     PresentedRing,
     Ring,
-    RingMap,
     build_Bn,
     build_C1,
     build_C2,
-    ideals_equal,
     ring,
     samuel_check,
     verify_ring_map,
@@ -109,45 +107,47 @@ class TestQuotientEquality:
 
 
 class TestRingMaps:
+    @staticmethod
+    def saturated_c2() -> PresentedRing:
+        amb = build_C2().ambient
+        X, Y, U, V = amb.gens()
+        return PresentedRing(
+            amb, Ideal([Y * U + V - 1, X * V + U - 1], GREVLEX), amb.variables
+        )
+
     def test_c1_to_c2_literal_target_rejected(self):
         # the image of C1's ideal is the saturation of C2's two-generator
         # ideal, strictly larger than that ideal, so the map is not
         # well-defined into the literal presentation
-        assert not verify_ring_map(c1_to_c2_map())
+        assert not verify_ring_map(build_C1().defining, build_C2(), c1_to_c2_map())
 
     def test_c1_to_c2_saturated_target_verified(self):
-        m = c1_to_c2_map()
-        amb = m.target.ambient
-        X, Y, U, V = amb.gens()
-        saturated = PresentedRing(
-            amb, Ideal([Y * U + V - 1, X * V + U - 1], GREVLEX), amb.variables
-        )
-        fixed = RingMap(source=m.source, target=saturated, images=m.images)
-        assert verify_ring_map(fixed)
+        assert verify_ring_map(build_C1().defining, self.saturated_c2(), c1_to_c2_map())
+
+    def test_alternate_ideal_to_saturated_target_verified(self):
+        # J lies in C1's ideal, so its relations map into the saturation too;
+        # the check asks only that the map be well-defined
+        assert verify_ring_map(c1_alternate_ideal(), self.saturated_c2(), c1_to_c2_map())
 
     def test_c1_to_c2_images_hit_alternate_generators(self):
-        m = c1_to_c2_map()
+        phi = c1_to_c2_map()
+        c2 = build_C2()
         J = c1_alternate_ideal()
-        images = [m.image_of(g) for g in J.generators]
-        c2_gens = m.target.defining.generators
-        assert ideals_equal(Ideal(images, GREVLEX), Ideal(c2_gens, GREVLEX))
+        images = [g.substitute(phi, target=c2.ambient) for g in J.generators]
+        assert images == c2.defining.generators
+        assert verify_ring_map(J, c2, phi)
 
     def test_mutated_map_rejected(self):
-        m = c1_to_c2_map()
-        amb = m.target.ambient
-        bad = RingMap(
-            source=m.source,
-            target=m.target,
-            images={**m.images, "u": amb.var("Y")},  # sign dropped
-        )
-        assert not verify_ring_map(bad)
+        phi = c1_to_c2_map()
+        c2 = build_C2()
+        bad = {**phi, "u": c2.ambient.var("Y")}  # sign dropped
+        assert not verify_ring_map(c1_alternate_ideal(), c2, bad)
+        assert not verify_ring_map(build_C1().defining, self.saturated_c2(), bad)
 
     def test_missing_image_rejected(self):
-        m = c1_to_c2_map()
-        partial = RingMap(source=m.source, target=m.target,
-                          images={k: v for k, v in m.images.items() if k != "v"})
-        with pytest.raises(ValueError):
-            verify_ring_map(partial)
+        partial = {k: v for k, v in c1_to_c2_map().items() if k != "v"}
+        with pytest.raises(ValueError, match=r"missing images for \['v'\]"):
+            verify_ring_map(build_C1().defining, build_C2(), partial)
 
 
 class TestIrreducibility:

@@ -6,6 +6,7 @@ import pytest
 from affmod import QQ, ring
 from affmod.fibers import expected_fiber_class
 from affmod.scalars import PRIME_LIMIT, PrimeField, field_from_spec, is_prime
+from affmod.verifier import cmd_fibers
 
 GF7 = PrimeField(7)
 
@@ -71,6 +72,17 @@ class TestScalarCoercion:
         x = ring("x").var("x")
         assert make(x, Fraction(1, 2)).terms[mono] == Fraction(1, 2)
         assert make(x, Fraction(1, 7)).terms[mono] == Fraction(1, 7)
+
+    @pytest.mark.parametrize("field", [QQ, GF7], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize("value", [0.5, "1", 1j], ids=["float", "str", "complex"])
+    def test_inexact_scalar_is_type_error(self, field, value):
+        with pytest.raises(TypeError, match=f"not an exact scalar: {type(value).__name__}"):
+            ring("x", "y", field=field).const(value)
+
+    @pytest.mark.parametrize("field", [QQ, GF7], ids=["QQ", "GF7"])
+    def test_float_lambda_is_type_error(self, field):
+        with pytest.raises(TypeError, match="not an exact scalar: float"):
+            cmd_fibers(2, lambdas=[0.5], field=field)
 
     def test_expected_fiber_class_reduces_lambda(self):
         # 9/2 is 1 in GF(7), so the reducible x = 1 row applies

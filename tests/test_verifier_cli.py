@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from affmod import GREVLEX, Ideal, ideals, ideals_equal, poly, ring, verifier
 from affmod.cli import FIELD_ENV_VAR, build_parser, run
 from affmod.report import VerificationReport, summarize
 from affmod.rings import build_C2, c1_alternate_ideal, c1_to_c2_map
-from affmod.scalars import PrimeField, field_from_spec
+from affmod.scalars import QQ, PrimeField, field_from_spec
 from affmod.verifier import (
     CHECKS,
     cmd_degree_probe,
@@ -70,6 +71,13 @@ class TestVerifierCommands:
             f"lambda = 1/{p}: skipped [note: its denominator is 0 in GF({p})]"
         )
         assert len(rep.transcript) == 1 + 3 * 3
+
+    def test_fibers_with_no_usable_lambda_is_unknown(self):
+        rep = cmd_fibers(3, [Fraction(1, 2)], field=PrimeField(2))
+        assert rep.status == "unknown"
+        assert rep.detail == "no lambda is usable in GF(2), so no fiber was classified"
+        assert rep.transcript == [
+            "lambda = 1/2: skipped [note: its denominator is 0 in GF(2)]"]
 
     def test_isomorphism_chain_literal_fails(self):
         rep = cmd_takanori()
@@ -166,16 +174,11 @@ class TestMutatedFixtures:
         assert not ideals_equal(good, bad)
 
     def test_unnegated_image_misses_c2_generators(self):
-        m = c1_to_c2_map()
-        amb = m.target.ambient
-        images = {**m.images, "u": amb.var("Y")}
-        J = c1_alternate_ideal()
-        mapped = [
-            g.substitute({k: images[k] for k in m.images}, target=amb)
-            for g in J.generators
-        ]
         c2 = build_C2()
-        assert not ideals_equal(Ideal(mapped, GREVLEX), Ideal(list(c2.defining.generators), GREVLEX))
+        images = {**c1_to_c2_map(), "u": c2.ambient.var("Y")}
+        mapped = [g.substitute(images, target=c2.ambient)
+                  for g in c1_alternate_ideal().generators]
+        assert not ideals_equal(Ideal(mapped, GREVLEX), c2.defining)
 
     def test_wrong_sign_denominator_breaks_localization_identity(self):
         base = ring("x", "y")
@@ -222,6 +225,12 @@ class TestCli:
         assert run(["fibers", "--n", "2", "--lambda", "1/2", "--lambda", "3"]) == 0
         out = capsys.readouterr().out
         assert "[PASS] fibers-n2" in out
+
+    def test_fibers_with_every_lambda_skipped(self, capsys):
+        assert run(["fibers", "--n", "3", "--lambda", "1/2", "--field", "fp:2"]) == 0
+        out = capsys.readouterr().out
+        assert "[????] fibers-n3" in out and "no lambda is usable in GF(2)" in out
+        assert "0 fibers match" not in out
 
     @pytest.mark.parametrize("value", ["1/0", "0/0", "half"])
     def test_bad_lambda_is_usage_error(self, capsys, value):
@@ -343,3 +352,17 @@ def test_all_entry_point_smoke(tmp_path, spec):
         "isomorphism-chain"
     ]
     assert Counter(r["status"] for r in reports) == {"verified": 21, "failed": 1}
+
+
+def test_run_all_golden():
+    """Every report of run_all over QQ, GF(7) and GF(2), byte for byte as
+    JSON lines without the timing, in claim-id order.  A refactor that
+    keeps the reports keeps this hash."""
+    digest = hashlib.sha256()
+    for field in (QQ, PrimeField(7), PrimeField(2)):
+        for report in run_all(field):
+            d = report.to_dict()
+            del d["seconds"]
+            digest.update((json.dumps(d) + "\n").encode())
+    assert digest.hexdigest() == (
+        "5d2511a2076b89aa6064eeda6d2ce83bc3d6d56a02705cbeafa48623d74b5ffc")
