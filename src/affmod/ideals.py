@@ -57,11 +57,10 @@ def reduce_groebner_basis(basis, order: MonomialOrder):
     # fully reduce each element against the others
     reduced = []
     for i, g in enumerate(minimal):
-        rest = minimal[:i] + minimal[i + 1 :]
-        r = reduce_mod(g, rest, order) if rest else g
+        r = reduce_mod(g, minimal[:i] + minimal[i + 1 :], order)
         if not r.is_zero:
             reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
+    reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
     return reduced
 
 
@@ -73,7 +72,8 @@ def buchberger_gb(gens, order: MonomialOrder = GREVLEX):
     pairs = {}  # (i, j) -> lcm of the leading monomials, i < j
 
     def rank(pair):
-        # the normal strategy: the least lcm in the order, not degree first
+        # the normal strategy: the least lcm in the order (the largest
+        # key), not degree first
         return order.key(pairs[pair])
 
     def update(h: MultiPoly):
@@ -115,7 +115,7 @@ def buchberger_gb(gens, order: MonomialOrder = GREVLEX):
         if not g.is_zero:
             update(g.monic(order))
     while pairs:
-        i, j = min(pairs, key=rank)
+        i, j = max(pairs, key=rank)
         del pairs[i, j]
         basis = [G[a] for a in active]
         r = reduce_mod(s_polynomial(G[i], G[j], order), basis, order)
@@ -161,10 +161,7 @@ class Ideal:
 
 def normal_form(p: MultiPoly, ideal: Ideal) -> MultiPoly:
     """Unique remainder of p modulo the reduced Groebner basis."""
-    gb = ideal.groebner_basis
-    if not gb:
-        return p
-    return reduce_mod(p, gb, ideal.order)
+    return reduce_mod(p, ideal.groebner_basis, ideal.order)
 
 
 def ideals_equal(a: Ideal, b: Ideal) -> bool:

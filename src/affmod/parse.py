@@ -225,7 +225,7 @@ def format_poly(p: MultiPoly) -> str:
     """Deterministic rendering; inverse of parse_poly on integer coefficients."""
     if p.is_zero:
         return "0"
-    monos = sorted(p.terms, key=GREVLEX.key, reverse=True)
+    monos = sorted(p.terms, key=GREVLEX.key)
     pieces = []
     one = p.ring.field.one
     for m in monos:

@@ -97,15 +97,8 @@ class MonomialOrder:
     kind: str
 
     def key(self, mono: Monomial):
-        if self.kind == "lex":
-            return mono
-        if self.kind == "grevlex":
-            return (sum(mono), tuple(-e for e in reversed(mono)))
-        raise ValueError(f"unknown order kind {self.kind!r}")
-
-    def heap_key(self, mono: Monomial):
-        """A flat key whose minimum is the order-maximal monomial, for the
-        min-heap of ``divide_multi``."""
+        """A flat sort key whose minimum is the order-maximal monomial, so
+        ascending keys list monomials largest first."""
         if self.kind == "lex":
             return tuple(-e for e in mono)
         if self.kind == "grevlex":
@@ -286,7 +279,7 @@ class MultiPoly:
         if lead is None:
             if self.is_zero:
                 raise ZeroPolynomialError("leading term of zero polynomial")
-            m = max(self.terms, key=order.key)
+            m = min(self.terms, key=order.key)
             lead = cache[order.kind] = (m, self.terms[m])
         return lead
 
@@ -351,7 +344,7 @@ def divide_multi(p: MultiPoly, divisors, order: MonomialOrder):
     ring_ = p.ring
     f = ring_.field
     add, mul = f.add, f.mul
-    hkey = order.heap_key
+    hkey = order.key
     # per divisor: leading monomial, 1/lc, and the tail with negated coefficients
     heads = []
     for g in divisors:

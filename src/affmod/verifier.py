@@ -17,9 +17,9 @@ from typing import Callable
 
 from .degrees import DEFAULT_PROBE, exhaustive_probe
 from .fibers import expected_fiber_class, fiber_table
-from .ideals import Ideal, ideals_equal, normal_form
+from .ideals import ideals_equal, normal_form
 from .parse import format_poly
-from .poly import GREVLEX, Ring, exact_div
+from .poly import Ring, exact_div
 from .report import VerificationReport
 from .rings import (
     build_Bn,
@@ -183,62 +183,54 @@ def cmd_takanori(field=QQ) -> VerificationReport:
 @_timed
 def cmd_takanori_repaired(field=QQ) -> VerificationReport:
     """The isomorphism chain with the deficient presentation ideal enlarged
-    to its saturation: I2 = (Y*U + V - 1, X*V + U - 1).
+    to its saturation: I2 = (h1, h2), h1 = Y*U + V - 1, h2 = X*V + U - 1.
 
-    Modulo I2 the surface relations of C2 hold, phi carries I exactly onto
-    I2, and eliminating V = 1 - Y*U reduces I2 to the single n=1
-    modification relation, so C1 ~ k[X,Y,U,V]/I2 ~ B_1.
+    Each step is an exact identity in k[X,Y,U,V] with coefficients +-1, so
+    it holds in every characteristic and needs no Groebner basis.  C2's
+    relations are combinations of h1 and h2, (X*Y - 1)*h1 is one of C2's,
+    phi carries C1's generators onto -h1 and -h2, and V = 1 - Y*U sends h1
+    to 0 and h2 to minus the n=1 modification relation, so
+    C1 ~ k[X,Y,U,V]/I2 ~ B_1.
     """
-    transcript = []
-    ok = True
-
-    c1 = build_C1(field)
-    c2 = build_C2(field)
-    amb2 = c2.ambient
+    g1, g2 = build_C2(field).defining.generators
+    amb2 = g1.ring
     X, Y, U, V = amb2.gens()
-    ideal_I2 = Ideal([Y * U + V - 1, X * V + U - 1], GREVLEX)
+    h1, h2 = Y * U + V - 1, X * V + U - 1
+    transcript = []
 
-    step1 = all(ideal_I2.contains(g) for g in c2.defining.generators)
+    step1 = g1 == X * h1 - h2 and g2 == Y * h2 - h1
     transcript.append(f"both defining relations of C2 lie in I2: {step1}")
-    step1b = c2.defining.contains((X * Y - 1) * (V - 1 + Y * U))
+    step1b = (X * Y - 1) * (V - 1 + Y * U) == Y * g1 + g2
     transcript.append(
         f"(X*Y - 1)*(V - 1 + Y*U) lies in C2's ideal (I2 is the saturation "
         f"at X*Y - 1): {step1b}"
     )
-    ok &= step1 and step1b
 
     phi = c1_to_c2_map(field)
-    images = [g.substitute(phi, target=amb2) for g in c1.defining.generators]
-    step2 = ideals_equal(Ideal(images, GREVLEX), ideal_I2)
+    gens = build_C1(field).defining.generators
+    images = [g.substitute(phi, target=amb2) for g in gens]
+    step2 = set(images) == {-h1, -h2}
     transcript.append(f"phi(I) = I2 as ideals: {step2}")
-    for g, img in zip(c1.defining.generators, images):
+    for g, img in zip(gens, images):
         transcript.append(f"  phi({format_poly(g)}) = {format_poly(img)}")
-    ok &= step2
 
-    b1 = build_Bn(1, field)
-    amb1 = b1.ambient
-    xb, yb, ub = amb1.var("x"), amb1.var("y"), amb1.var("u")
+    r = build_Bn(1, field).defining.generators[0]
+    xb, yb, ub = r.ring.gens()
     eliminate_v = {"X": xb, "Y": yb, "U": ub, "V": 1 - yb * ub}
-    step3 = all(
-        b1.defining.contains(g.substitute(eliminate_v, target=amb1))
-        for g in ideal_I2.generators
-    )
+    step3 = [h.substitute(eliminate_v, target=r.ring) for h in (h1, h2)] == [0, -r]
     transcript.append(
         f"substituting V = 1 - Y*U sends I2 into the n=1 relation ideal: {step3}"
     )
-    back = b1.defining.generators[0].substitute(
-        {"x": X, "y": Y, "u": U}, target=amb2
-    )
-    step4 = ideal_I2.contains(back)
+    step4 = r.substitute({"x": X, "y": Y, "u": U}, target=amb2) == X * h1 - h2
     transcript.append(f"the n=1 relation u*(x*y - 1) - (x - 1) lies in I2: {step4}")
-    ok &= step3 and step4
 
     return _report(
         "isomorphism-chain-repaired",
         "C1, C2 and the n=1 modification ring are isomorphic "
         "(saturated presentation ideal)",
         transcript,
-        [] if ok else ["a sub-identity failed; see transcript"],
+        [] if step1 and step1b and step2 and step3 and step4
+        else ["a sub-identity failed; see transcript"],
     )
 
 
@@ -318,82 +310,66 @@ def cmd_main_identities(n: int, field=QQ) -> VerificationReport:
     argument (configuration m=1 < n), plus the degree bookkeeping
     enumeration for the complementary case."""
     _require_positive(n=n)
-    ring = Ring(("x", "y", "Y", "c"), field)
-    x, y, Y, c = ring.gens()
-    transcript = []
-
-    if n >= 2:
-        X = c * y
-        T = X**n * Y - 1
-        t = x * y - 1
-
-        lhs = T * t - (1 - y)
-        rhs = X**n * Y * x * y - X**n * Y - x * y + y
-        id1 = lhs == rhs
-        transcript.append(
-            "(X^n*Y - 1)*(x*y - 1) - (1 - y) = X^n*Y*x*y - X^n*Y - x*y + y "
-            f"with X = c*y: {id1}"
-        )
-
-        divisible = all(m[ring.index("y")] >= 1 for m in lhs.terms)
-        transcript.append(f"that expansion is divisible by y: {divisible}")
-        if divisible:
-            quotient = exact_div(lhs, y)
-            expected_q = X**n * Y * x - c * X ** (n - 1) * Y - x + 1
-            id2 = quotient == expected_q
-            transcript.append(
-                f"quotient by y equals X^n*Y*x - c*X^(n-1)*Y - x + 1: {id2}"
-            )
-        else:
-            id2 = False
-    else:
-        id1 = id2 = True
-        transcript.append("identity chain requires n >= 2; skipped")
-
+    claim_id = f"main-identities-n{n}"
+    description = f"exact identity chain and degree enumeration for n={n}"
     # degree bookkeeping: dX = dU + n*dX + dY over non-negative integers
     solutions = [
         (dx, dy, du)
         for dx, dy, du in product(range(DEGREE_BOUND + 1), repeat=3)
         if dx == du + n * dx + dy
     ]
-    if n >= 2:
-        enum_ok = solutions == [(0, 0, 0)]
-        transcript.append(
-            f"non-negative solutions of dX = dU + {n}*dX + dY, all <= "
-            f"{DEGREE_BOUND}: {solutions}"
-        )
-    else:
-        enum_ok = all(dy == 0 and du == 0 for _, dy, du in solutions)
-        transcript.append(
+    if n == 1:
+        return _report(claim_id, description, [
+            "identity chain requires n >= 2; skipped",
             "at n=1 the constraint degenerates to 0 = dU + dY: dX is "
-            f"unconstrained ({len(solutions)} solutions); recorded, not a failure"
+            f"unconstrained ({len(solutions)} solutions); recorded, not a failure",
+        ], unknowns=["degenerate configuration at n=1; identities require n >= 2"])
+
+    ring = Ring(("x", "y", "Y", "c"), field)
+    x, y, Y, c = ring.gens()
+    X = c * y
+    T = X**n * Y - 1
+    t = x * y - 1
+    transcript = []
+
+    lhs = T * t - (1 - y)
+    rhs = X**n * Y * x * y - X**n * Y - x * y + y
+    id1 = lhs == rhs
+    transcript.append(
+        "(X^n*Y - 1)*(x*y - 1) - (1 - y) = X^n*Y*x*y - X^n*Y - x*y + y "
+        f"with X = c*y: {id1}"
+    )
+
+    divisible = all(m[ring.index("y")] >= 1 for m in lhs.terms)
+    transcript.append(f"that expansion is divisible by y: {divisible}")
+    id2 = False
+    if divisible:
+        quotient = exact_div(lhs, y)
+        expected_q = X**n * Y * x - c * X ** (n - 1) * Y - x + 1
+        id2 = quotient == expected_q
+        transcript.append(
+            f"quotient by y equals X^n*Y*x - c*X^(n-1)*Y - x + 1: {id2}"
         )
 
-    ok = id1 and id2 and enum_ok
-    if n >= 2:
-        unknowns = []
-        failures = [] if ok else ["identity residual nonzero; see transcript"]
-    else:
-        unknowns = ["degenerate configuration at n=1; identities require n >= 2"]
-        failures = [] if ok else unknowns
-    return _report(
-        f"main-identities-n{n}",
-        f"exact identity chain and degree enumeration for n={n}",
-        transcript,
-        failures,
-        unknowns,
+    enum_ok = solutions == [(0, 0, 0)]
+    transcript.append(
+        f"non-negative solutions of dX = dU + {n}*dX + dY, all <= "
+        f"{DEGREE_BOUND}: {solutions}"
     )
+    return _report(claim_id, description, transcript,
+                   [] if id1 and id2 and enum_ok
+                   else ["identity residual nonzero; see transcript"])
 
 
 @_timed
-def cmd_degree_probe(n_max: int = 5, box: int = 5, names=DEFAULT_PROBE) -> VerificationReport:
+def cmd_degree_probe(n_max: int = 5, box: int = 5) -> VerificationReport:
     """Exhaustive weight probe: every nonzero integer weight in the box
     produces a probe element of negative degree, for every n."""
     _require_positive(n=n_max, box=box)
-    results = exhaustive_probe(range(1, n_max + 1), box, names)
+    results = exhaustive_probe(range(1, n_max + 1), box)
     missing = [r for r in results if r["verdict"] != "witness"]
     transcript = [
-        f"probe set {list(names)}, weights in [-{box}, {box}]^2, n in 1..{n_max}: "
+        f"probe set {list(DEFAULT_PROBE)}, weights in [-{box}, {box}]^2, n in 1..{n_max}: "
         f"{len(results)} cases"
     ]
     for r in missing[:10]:

@@ -90,7 +90,7 @@ class TestBuchberger:
 
 
 def _monic_terms(terms: dict, order, p: int) -> frozenset:
-    lead = terms[max(terms, key=order.key)]
+    lead = terms[min(terms, key=order.key)]
     inv = pow(lead, -1, p) if p else 1 / lead
     return frozenset((m, c * inv % p if p else c * inv) for m, c in terms.items())
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from affmod import GREVLEX, Ideal, ideals, ideals_equal, poly, ring, verifier
+from affmod import GREVLEX, Ideal, degrees, ideals, ideals_equal, poly, ring, verifier
 from affmod.cli import FIELD_ENV_VAR, build_parser, run
 from affmod.report import VerificationReport, summarize
 from affmod.rings import build_C2, c1_alternate_ideal, c1_to_c2_map
@@ -97,6 +97,15 @@ class TestVerifierCommands:
         assert "phi(I) = I2 as ideals: True" in joined
         assert "n=1 relation" in joined
 
+    def test_isomorphism_chain_completions(self, monkeypatch):
+        # the repaired chain is polynomial identities; the literal chain
+        # completes I, J and C2's ideal to prove its negative facts
+        calls = _count_calls(monkeypatch, ideals, "buchberger_gb")
+        cmd_takanori_repaired()
+        assert calls == []
+        cmd_takanori()
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_samuel(self, n):
         rep = cmd_samuel(n)
@@ -116,15 +125,22 @@ class TestVerifierCommands:
     def test_main_identities_n1_is_unknown(self):
         rep = cmd_main_identities(1)
         assert rep.status == "unknown"
-        assert "n=1" in rep.detail
+        assert rep.detail == "degenerate configuration at n=1; identities require n >= 2"
+        assert rep.transcript == [
+            "identity chain requires n >= 2; skipped",
+            "at n=1 the constraint degenerates to 0 = dU + dY: dX is "
+            "unconstrained (11 solutions); recorded, not a failure",
+        ]
 
     def test_degree_probe(self):
         rep = cmd_degree_probe(n_max=3, box=3)
         assert rep.status == "verified"
         assert len(rep.payload) == 3 * (7 * 7 - 1)
 
-    def test_degree_probe_restricted_set_fails(self):
-        rep = cmd_degree_probe(n_max=2, box=2, names=("x", "y", "u"))
+    def test_degree_probe_restricted_set_fails(self, monkeypatch):
+        monkeypatch.setattr(verifier, "exhaustive_probe", lambda ns, box:
+                            degrees.exhaustive_probe(ns, box, ("x", "y", "u")))
+        rep = cmd_degree_probe(n_max=2, box=2)
         assert rep.status == "failed"
         assert any("n=1" in line for line in rep.transcript)
 
@@ -172,6 +188,15 @@ class TestMutatedFixtures:
         good = c1_alternate_ideal()
         bad = Ideal([x * (u * v - 1) - (v + 1), y * (u * v - 1) + (u + 1)], GREVLEX)
         assert not ideals_equal(good, bad)
+
+    def test_unnegated_image_fails_the_repaired_chain(self, monkeypatch):
+        def unnegated(field=QQ):
+            return {**c1_to_c2_map(field), "u": build_C2(field).ambient.var("Y")}
+
+        monkeypatch.setattr(verifier, "c1_to_c2_map", unnegated)
+        rep = cmd_takanori_repaired()
+        assert rep.status == "failed"
+        assert "phi(I) = I2 as ideals: False" in rep.transcript
 
     def test_unnegated_image_misses_c2_generators(self):
         c2 = build_C2()
