@@ -16,14 +16,7 @@ from .poly import (
     ring,
     squarefree_part,
 )
-from .parse import (
-    FractionExpr,
-    ParseError,
-    format_fraction,
-    format_poly,
-    parse_fraction,
-    parse_poly,
-)
+from .parse import ParseError, format_poly, parse_fraction, parse_poly
 from .ideals import (
     INFINITE,
     Ideal,

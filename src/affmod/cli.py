@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import sys
 
 from . import verifier
 from .report import summarize, write_json_lines
@@ -65,7 +64,7 @@ def run(argv=None) -> int:
     reports = verifier.CHECKS[args.command].run(args, args.field)
 
     if not args.quiet:
-        summarize(reports, out=sys.stdout)
+        print(summarize(reports))
     if args.json:
         write_json_lines(reports, args.json)
     return 0 if all(r.ok for r in reports) else 1

@@ -10,17 +10,20 @@ Grammar (whitespace-insensitive, '#' starts a comment in fixture files):
     atom     := INT | IDENT | '(' poly ')'
 
 Multiplication is always explicit ("x*y", never "xy") and exponents are
-non-negative integer literals.  Coefficients are integers in the surface
-syntax; rational coefficients only arise from arithmetic and are printed,
-not re-parseable.
+non-negative integer literals.  Coefficients are integers of any length in
+the surface syntax; rational coefficients only arise from arithmetic and are
+printed, not re-parseable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .poly import GREVLEX, MultiPoly, Ring
+
+_DIGITS = "0123456789"
+_SYMBOLS = ("+", "-", "*", "/", "^", "(", ")")
 
 
 class ParseError(ValueError):
@@ -31,26 +34,19 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int" | "ident" | "op" | "lparen" | "rparen" | "end"
-    text: str
-    pos: int
+# int() and str() refuse more decimal digits than sys.get_int_max_str_digits(),
+# a process-wide limit of at least 640; decimal converts any length exactly.
+# 2000 bits are at most 603 digits.
+def _read_int(digits: str) -> int:
+    return int(digits) if len(digits) <= 640 else int(Decimal(digits))
 
 
-@dataclass(frozen=True)
-class FractionExpr:
-    """A polynomial fraction, stored as written (no automatic reduction)."""
-
-    numerator: MultiPoly
-    denominator: MultiPoly
-
-    def __post_init__(self):
-        if self.denominator.is_zero:
-            raise ParseError("zero denominator", 0)
+def _int_text(n: int) -> str:
+    return str(n) if n.bit_length() <= 2000 else str(Decimal(n))
 
 
 def tokenize(text: str) -> list:
+    """(text, position) pairs, ending in ("", len(text))."""
     tokens = []
     i = 0
     n = len(text)
@@ -58,39 +54,28 @@ def tokenize(text: str) -> list:
         ch = text[i]
         if ch.isspace():
             i += 1
-            continue
-        if ch == "#":
+        elif ch == "#":
             break
-        # isdigit alone takes superscripts, which int() rejects, and other
-        # scripts' digits, which int() reads as ASCII ones
-        if ch.isascii() and ch.isdigit():
-            j = i
-            while j < n and text[j].isascii() and text[j].isdigit():
+        # ASCII digits only: isdigit also takes superscripts, which int()
+        # rejects, and other scripts' digits, which int() reads as ASCII ones
+        elif ch in _DIGITS:
+            j = i + 1
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(Token("int", text[i:j], i))
+            tokens.append((text[i:j], i))
             i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("ident", text[i:j], i))
+            tokens.append((text[i:j], i))
             i = j
-            continue
-        if ch in "+-*/^":
-            tokens.append(Token("op", ch, i))
+        elif ch in _SYMBOLS:
+            tokens.append((ch, i))
             i += 1
-            continue
-        if ch == "(":
-            tokens.append(Token("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(Token("rparen", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("end", "", n))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("", n))
     return tokens
 
 
@@ -100,89 +85,85 @@ class _Parser:
         self.ring = ring
         self.i = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        return self.tokens[self.i][0]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.tokens[self.i]
         self.i += 1
         return t
 
     def expect_end(self):
-        t = self.peek()
-        if t.kind == "op" and t.text == "/":
-            raise ParseError("'/' is only allowed once, at the top of a fraction", t.pos)
-        if t.kind != "end":
-            raise ParseError(f"unexpected {t.text!r}", t.pos)
+        text, pos = self.tokens[self.i]
+        if text == "/":
+            raise ParseError("'/' is only allowed once, at the top of a fraction", pos)
+        if text:
+            raise ParseError(f"unexpected {text!r}", pos)
 
     def poly(self) -> MultiPoly:
         out = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next()
+        while self.peek() in ("+", "-"):
+            op = self.next()[0]
             rhs = self.term()
-            out = out + rhs if op.text == "+" else out - rhs
+            out = out + rhs if op == "+" else out - rhs
         return out
 
     def term(self) -> MultiPoly:
         out = self.unary()
-        while self.peek().kind == "op" and self.peek().text == "*":
-            self.next()
+        while self.peek() == "*":
+            self.i += 1
             out = out * self.unary()
         return out
 
     def unary(self) -> MultiPoly:
-        t = self.peek()
-        if t.kind == "op" and t.text == "-":
-            self.next()
+        if self.peek() == "-":
+            self.i += 1
             return -self.unary()
         return self.power()
 
     def power(self) -> MultiPoly:
         base = self.atom()
-        t = self.peek()
-        if t.kind == "op" and t.text == "^":
-            self.next()
-            e = self.peek()
-            if e.kind == "op" and e.text == "-":
-                raise ParseError("negative exponent", e.pos)
-            if e.kind != "int":
-                raise ParseError("exponent must be an integer literal", e.pos)
-            self.next()
-            return base ** int(e.text)
-        return base
+        if self.peek() != "^":
+            return base
+        self.i += 1
+        text, pos = self.next()
+        if text == "-":
+            raise ParseError("negative exponent", pos)
+        if not text.isdigit():
+            raise ParseError("exponent must be an integer literal", pos)
+        return base ** _read_int(text)
 
     def atom(self) -> MultiPoly:
-        t = self.next()
-        if t.kind == "int":
-            return self.ring.const(int(t.text))
-        if t.kind == "ident":
-            if t.text not in self.ring.variables:
-                raise ParseError(f"unknown variable {t.text!r}", t.pos)
-            return self.ring.var(t.text)
-        if t.kind == "lparen":
+        text, pos = self.next()
+        if text.isdigit():
+            return self.ring.const(_read_int(text))
+        if text in self.ring.variables:
+            return self.ring.var(text)
+        if text == "(":
             inner = self.poly()
-            close = self.next()
-            if close.kind != "rparen":
-                raise ParseError("expected ')'", close.pos)
+            close, at = self.next()
+            if close != ")":
+                raise ParseError("expected ')'", at)
             return inner
-        raise ParseError(f"unexpected {t.text or 'end of input'!r}", t.pos)
+        if text in _SYMBOLS or not text:
+            raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
+        raise ParseError(f"unknown variable {text!r}", pos)
 
 
 def _parse(text: str, ring: Ring, fraction: bool):
     """Numerator, then '/' and a denominator if fraction is set and one
-    follows, then end of input.  Returns (numerator, slash token or None,
+    follows, then end of input.  Returns (numerator, slash position or None,
     denominator or None)."""
     parser = _Parser(tokenize(text), ring)
     try:
         num = parser.poly()
         slash = den = None
-        t = parser.peek()
-        if fraction and t.kind == "op" and t.text == "/":
-            slash = parser.next()
+        if fraction and parser.peek() == "/":
+            slash = parser.next()[1]
             den = parser.poly()
         parser.expect_end()
     except RecursionError:
-        at = parser.tokens[min(parser.i, len(parser.tokens) - 1)].pos
+        at = parser.tokens[min(parser.i, len(parser.tokens) - 1)][1]
         raise ParseError("expression nested too deeply", at) from None
     return num, slash, den
 
@@ -192,23 +173,26 @@ def parse_poly(text: str, ring: Ring) -> MultiPoly:
     return _parse(text, ring, fraction=False)[0]
 
 
-def parse_fraction(text: str, ring: Ring) -> FractionExpr:
-    """Parse "P" or "P/Q"; the denominator defaults to 1."""
+def parse_fraction(text: str, ring: Ring) -> tuple:
+    """Parse "P" or "P/Q" into (numerator, denominator), stored as written
+    (no reduction); the denominator defaults to 1."""
     num, slash, den = _parse(text, ring, fraction=True)
     if slash is None:
-        return FractionExpr(num, ring.one())
+        return num, ring.one()
     if den.is_zero:
-        raise ParseError("zero denominator", slash.pos)
-    return FractionExpr(num, den)
+        raise ParseError("zero denominator", slash)
+    return num, den
 
 
 # -- printing ---------------------------------------------------------------
 
 
 def _format_scalar(c) -> str:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return str(c.numerator)
-    return str(c)
+    if not isinstance(c, Fraction):
+        return _int_text(c)
+    if c.denominator == 1:
+        return _int_text(c.numerator)
+    return f"{_int_text(c.numerator)}/{_int_text(c.denominator)}"
 
 
 def _format_mono(ring: Ring, mono) -> str:
@@ -217,7 +201,7 @@ def _format_mono(ring: Ring, mono) -> str:
         if e == 1:
             parts.append(name)
         elif e > 1:
-            parts.append(f"{name}^{e}")
+            parts.append(f"{name}^{_int_text(e)}")
     return "*".join(parts)
 
 
@@ -225,14 +209,13 @@ def format_poly(p: MultiPoly) -> str:
     """Deterministic rendering; inverse of parse_poly on integer coefficients."""
     if p.is_zero:
         return "0"
-    monos = sorted(p.terms, key=GREVLEX.key)
     pieces = []
-    one = p.ring.field.one
-    for m in monos:
-        c = p.terms[m]
+    for m in sorted(p.terms, key=GREVLEX.key):
         mono_str = _format_mono(p.ring, m)
-        negative = _format_scalar(c).startswith("-")
-        mag = _format_scalar(-c if negative else c)
+        mag = _format_scalar(p.terms[m])
+        negative = mag.startswith("-")
+        if negative:
+            mag = mag[1:]
         if mono_str and mag == "1":
             body = mono_str
         elif mono_str:
@@ -244,9 +227,3 @@ def format_poly(p: MultiPoly) -> str:
         else:
             pieces.append(f"- {body}" if negative else f"+ {body}")
     return " ".join(pieces)
-
-
-def format_fraction(f: FractionExpr) -> str:
-    if f.denominator == f.denominator.ring.one():
-        return format_poly(f.numerator)
-    return f"({format_poly(f.numerator)})/({format_poly(f.denominator)})"

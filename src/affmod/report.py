@@ -49,7 +49,7 @@ def write_json_lines(reports, path: str):
             fh.write(r.to_json() + "\n")
 
 
-def summarize(reports, out=None) -> str:
+def summarize(reports) -> str:
     lines = []
     width = max((len(r.claim_id) for r in reports), default=10)
     for r in sorted(reports, key=lambda r: r.claim_id):
@@ -65,7 +65,4 @@ def summarize(reports, out=None) -> str:
         f"{len(reports)} checks: {len(reports) - n_fail - n_unknown} verified, "
         f"{n_fail} failed, {n_unknown} unknown"
     )
-    text = "\n".join(lines)
-    if out is not None:
-        print(text, file=out)
-    return text
+    return "\n".join(lines)

@@ -128,21 +128,31 @@ def certify_irreducible(p: MultiPoly):
     return None if dec is None else dec.common.is_constant()
 
 
+def _irreducible(p: MultiPoly, curve: CurveClass):
+    """certify_irreducible(p), read off the class of the curve p = 0 when p
+    has two variables: there classify_curve recognizes exactly the inputs
+    certify_irreducible does, and one component means a constant common
+    factor."""
+    if len(p.variables_present()) < 2:
+        return certify_irreducible(p)
+    return None if curve.reason else len(curve.punctures) == 1
+
+
 def samuel_check(a: MultiPoly, b: MultiPoly) -> SamuelReport:
     """Check the hypotheses that make A[b/a] a UFD: a and b irreducible and
     coprime, (a, b) a single reduced point, and quotient curves A/aA a
     once-punctured line and A/bA an affine line."""
     if a.ring != b.ring or a.ring.nvars != 2:
         raise ValueError("a and b must live in a common two-variable ring")
-    a_irr = certify_irreducible(a)
-    b_irr = certify_irreducible(b)
+    qa = classify_curve(a)
+    qb = classify_curve(b)
+    a_irr = _irreducible(a, qa)
+    b_irr = _irreducible(b, qb)
     # two irreducibles are coprime unless they are associates
     rel_prime = a.monic() != b.monic() if a_irr and b_irr else None
     sum_ideal = Ideal([a, b], GREVLEX)
     clen = colength(sum_ideal)
     point = is_point_ideal(sum_ideal)
-    qa = classify_curve(a)
-    qb = classify_curve(b)
     qa_ok = None if qa.reason else qa == punctured_line(1)
     qb_ok = None if qb.reason else qb == AFFINE_LINE
 

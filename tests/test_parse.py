@@ -1,10 +1,11 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affmod import (
     ParseError,
-    format_fraction,
     format_poly,
     parse_fraction,
     parse_poly,
@@ -45,6 +46,27 @@ class TestParsePoly:
             parse_poly("x + z", RXY)
         assert exc.value.position == 4
 
+    @pytest.mark.parametrize("parse, text, message, position", [
+        (parse_poly, "x + $", "unexpected character '$'", 4),
+        (parse_poly, "x + z", "unknown variable 'z'", 4),
+        (parse_poly, "x^-1", "negative exponent", 2),
+        (parse_poly, "x^y", "exponent must be an integer literal", 2),
+        (parse_poly, "x^", "exponent must be an integer literal", 2),
+        (parse_poly, "(x + 1", "expected ')'", 6),
+        (parse_poly, "x +", "unexpected 'end of input'", 3),
+        (parse_poly, "", "unexpected 'end of input'", 0),
+        (parse_poly, "x y", "unexpected 'y'", 2),
+        (parse_poly, ")", "unexpected ')'", 0),
+        (parse_poly, "2^3^4", "unexpected '^'", 3),
+        (parse_poly, "x/y", "'/' is only allowed once, at the top of a fraction", 1),
+        (parse_fraction, "x/(y-y)", "zero denominator", 1),
+    ])
+    def test_every_error_branch(self, parse, text, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse(text, RXY)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+
     @pytest.mark.parametrize("text, position", [("x^\u00b2", 2), ("\u0663*x", 0)],
                              ids=["superscript-two", "arabic-indic-three"])
     def test_non_ascii_digit_rejected(self, text, position):
@@ -62,18 +84,14 @@ class TestParsePoly:
 class TestParseFraction:
     def test_generator_fraction(self):
         x, y = RXY.gens()
-        f = parse_fraction("(x-1)/(x^2*y-1)", RXY)
-        assert f.numerator == x - 1
-        assert f.denominator == x**2 * y - 1
+        assert parse_fraction("(x-1)/(x^2*y-1)", RXY) == (x - 1, x**2 * y - 1)
 
     def test_polynomial_defaults_denominator(self):
-        f = parse_fraction("x+1", RXY)
-        assert f.denominator == RXY.one()
+        assert parse_fraction("x+1", RXY)[1] == RXY.one()
 
     def test_probe_fraction(self):
         x, y = RXY.gens()
-        f = parse_fraction("(y-1)/(x*y-1)", RXY)
-        assert f.numerator == y - 1 and f.denominator == x * y - 1
+        assert parse_fraction("(y-1)/(x*y-1)", RXY) == (y - 1, x * y - 1)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ParseError):
@@ -117,9 +135,14 @@ class TestFormat:
         assert format_poly(RXY.zero()) == "0"
         assert format_poly(2 * x) == "2*x"
 
-    def test_fraction(self):
-        f = parse_fraction("(x-1)/(x*y-1)", RXY)
-        assert format_fraction(f) == "(x - 1)/(x*y - 1)"
+    def test_coefficients_of_any_length(self):
+        # longer than sys.get_int_max_str_digits(), where str() and int() stop
+        x, y = RXY.gens()
+        ones = (10**5000 - 1) // 9
+        assert parse_poly("1" * 5000 + "*x", RXY) == ones * x
+        for p in (ones * x - 3, x**ones - y, -ones * y):
+            assert parse_poly(format_poly(p), RXY) == p
+        assert format_poly(x.scale(Fraction(-1, ones + 1))) == f"-1/{'1' * 4999}2*x"
 
     @given(p=poly_strategy(RXYU))
     @settings(max_examples=200)

@@ -14,7 +14,7 @@ from affmod import (
     samuel_check,
     verify_ring_map,
 )
-from affmod import rings
+from affmod import fibers, rings
 from affmod.rings import c1_alternate_ideal, c1_to_c2_map, certify_irreducible
 from affmod.scalars import PrimeField
 
@@ -213,12 +213,21 @@ class TestSamuelCheck:
         assert rep.sum_colength == 1 and rep.point == (0, 1)
 
     def test_certifies_each_curve_once(self, monkeypatch):
-        calls, real = [], certify_irreducible
-        monkeypatch.setattr(rings, "certify_irreducible",
-                            lambda p: calls.append(p) or real(p))
+        # b = x - 1 is univariate and needs no linear decomposition
+        calls, real = [], fibers.linear_form
+        monkeypatch.setattr(fibers, "linear_form", lambda p: calls.append(p) or real(p))
+        monkeypatch.setattr(rings, "linear_form", lambda p: calls.append(p) or real(p))
         x, y = RXY.gens()
-        assert samuel_check(x**3 * y - 1, x - 1).verdict == "hypotheses-verified"
-        assert calls == [x**3 * y - 1, x - 1]
+        a = x**3 * y - 1
+        assert samuel_check(a, x - 1).verdict == "hypotheses-verified"
+        assert calls == [a]
+
+    def test_irreducibility_matches_certificate(self):
+        # samuel_check reads a two-variable curve's irreducibility off its class
+        x, y = RXY.gens()
+        for a in (x**2 * y - 1, x**2 + y, x**3 * y - x, (x - 1) * (y - 1),
+                  (x**2 - 1) * (y + x), x**2 * y**2 - 1, x**2, x - 1, RXY.one()):
+            assert samuel_check(a, x - 1).a_irreducible is certify_irreducible(a), a
 
     def test_wrong_ring_rejected(self):
         r3 = ring("x", "y", "u")

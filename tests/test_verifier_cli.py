@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +48,13 @@ class TestVerifierCommands:
         assert rep.status == "verified"
         assert rep.claim_id == f"fibers-n{n}"
         assert len(rep.transcript) == 15  # 3 generators x 5 default parameters
+
+    def test_fibers_print_coefficients_of_any_length(self):
+        # the x = 2 fiber has the coefficient 2^14285, of 4301 digits
+        rep = cmd_fibers(14285)
+        assert (rep.claim_id, rep.status) == ("fibers-n14285", "verified")
+        digits = str(Decimal(2**14285))
+        assert any(line.startswith(f"x = 2: {digits}*") for line in rep.transcript)
 
     def test_fibers_make_no_multivariate_division(self, monkeypatch):
         # every fiber class is decided on dense univariate lists
