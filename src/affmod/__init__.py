@@ -4,7 +4,6 @@ from .scalars import QQ, PrimeField, RationalField, field_from_spec
 from .poly import (
     GREVLEX,
     LEX,
-    LinearDecomposition,
     MonomialOrder,
     MultiPoly,
     Ring,
@@ -47,7 +46,6 @@ from .fibers import (
     union,
 )
 from .degrees import (
-    LocalizedFraction,
     fraction,
     probe_nonnegativity,
     valuation_degree,

@@ -6,12 +6,11 @@ a polynomial is the maximal weight over its monomials (-inf for 0), which is
 multiplicative and extends to fractions by deg(p/q) = deg p - deg q.
 
 Degrees are evaluated a column at a time: each function takes a list of
-weights and returns one value, or one probe row, per weight.
+weights and returns one value, or one probe witness, per weight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import add, itemgetter, sub
 
@@ -45,31 +44,21 @@ def _degree_column(p: MultiPoly, coords: list, size: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class LocalizedFraction:
-    """numerator / product of inverted elements.
-
-    Models elements of a localization like A_t; an element listed k times in
-    ``inverted`` is inverted to the k-th power.
-    """
-
-    numerator: MultiPoly
-    inverted: tuple = ()  # MultiPolys
-
-    def __post_init__(self):
-        if any(elt.is_zero for elt in self.inverted):
-            raise ZeroPolynomialError("inverted element is zero")
+def fraction(numerator: MultiPoly, *inverted) -> tuple:
+    """numerator / product of inverted elements, as the pair (numerator,
+    inverted): an element of a localization like A_t, where an element
+    listed k times is inverted to the k-th power."""
+    if any(elt.is_zero for elt in inverted):
+        raise ZeroPolynomialError("inverted element is zero")
+    return numerator, inverted
 
 
-def fraction(numerator: MultiPoly, *inverted) -> LocalizedFraction:
-    return LocalizedFraction(numerator, inverted)
-
-
-def valuation_degree(f: LocalizedFraction, weights: list) -> list:
+def valuation_degree(f: tuple, weights: list) -> list:
     """deg(num) - the sum of deg over the inverted elements, one per weight."""
-    coords = _coordinates(weights, f.numerator.ring.nvars)
-    d = _degree_column(f.numerator, coords, len(weights))
-    for elt in f.inverted:
+    numerator, inverted = f
+    coords = _coordinates(weights, numerator.ring.nvars)
+    d = _degree_column(numerator, coords, len(weights))
+    for elt in inverted:
         d = list(map(sub, d, _degree_column(elt, coords, len(weights))))
     return d
 
@@ -98,33 +87,32 @@ def probe_elements(n: int, names=DEFAULT_PROBE) -> dict:
 
 
 def probe_nonnegativity(elements: dict, weights: list) -> list:
-    """For each weight, find a probe element of negative degree under it, if
-    any: the first one in the order probe_elements built them.
+    """For each weight, the first probe element, in the order probe_elements
+    built them, of negative degree under it: one (name, degree) per weight,
+    or None where no element has one.
 
-    Returns one {"verdict", "witness", "degree"} row per weight, the verdict
-    one of "trivial-ok" (w = 0), "witness" and "no-witness".  Every nonzero
-    weight admits a witness (the finitary face of the degree-rigidity
-    statement); the restricted probe without v misses the weight (1, 0) at
-    n = 1, which is why "no-witness" is representable.
+    Every nonzero weight admits a witness (the finitary face of the
+    degree-rigidity statement); the restricted probe without v misses the
+    weight (1, 0) at n = 1, which is why None is representable.
     """
-    rows = [None if any(w) else {"verdict": "trivial-ok", "witness": "", "degree": None}
-            for w in weights]
+    hits = [None] * len(weights)
     for name, elt in elements.items():
-        rows = [{"verdict": "witness", "witness": name, "degree": d}
-                if row is None and d < 0 else row
-                for row, d in zip(rows, valuation_degree(elt, weights))]
-    return [{"verdict": "no-witness", "witness": "", "degree": None} if row is None else row
-            for row in rows]
+        hits = [(name, d) if hit is None and d < 0 else hit
+                for hit, d in zip(hits, valuation_degree(elt, weights))]
+    return hits
 
 
 def exhaustive_probe(n_values, box: int, names=DEFAULT_PROBE) -> list:
     """Run the probe over every nonzero weight pair in [-box, box]^2.
 
-    Returns a list of dicts {n, weight, verdict, witness, degree}.
+    Returns a list of dicts {n, weight, verdict, witness, degree}, the
+    verdict "witness" or "no-witness".
     """
     weights = [w for w in product(range(-box, box + 1), repeat=2) if any(w)]
     results = []
     for n in n_values:
-        rows = probe_nonnegativity(probe_elements(n, names), weights)
-        results += [{"n": n, "weight": list(w), **row} for w, row in zip(weights, rows)]
+        hits = probe_nonnegativity(probe_elements(n, names), weights)
+        results += [{"n": n, "weight": list(w), "verdict": "witness" if hit else "no-witness",
+                     "witness": name, "degree": degree}
+                    for w, hit in zip(weights, hits) for name, degree in [hit or ("", None)]]
     return results

@@ -77,15 +77,16 @@ def classify_curve(p: MultiPoly) -> CurveClass:
     if dec is None:
         return unknown("no variable of degree one with univariate coefficients")
 
+    common, c_prime, d_prime = dec
     punctures = []
-    if not dec.common.is_constant():
-        w = dec.common.variables_present()[0]
-        punctures += [0] * distinct_root_count(dec.common, w)
-    if dec.d_prime.is_zero or dec.c_prime.is_constant():
+    if not common.is_constant():
+        w = common.variables_present()[0]
+        punctures += [0] * distinct_root_count(common, w)
+    if d_prime.is_zero or c_prime.is_constant():
         punctures.append(0)  # the line v = 0, or the graph of v = -d'/c'
     else:
-        w = dec.c_prime.variables_present()[0]
-        punctures.append(distinct_root_count(dec.c_prime, w))
+        w = c_prime.variables_present()[0]
+        punctures.append(distinct_root_count(c_prime, w))
     return CurveClass(tuple(sorted(punctures)))
 
 
@@ -100,22 +101,14 @@ def fiber_poly(rel: MultiPoly, generator: str, lam) -> MultiPoly:
     return rel.substitute({generator: rel.ring.const(lam)})
 
 
-@dataclass(frozen=True)
-class FiberTableRow:
-    generator: str
-    lam: object
-    fiber: MultiPoly
-    curve_class: CurveClass
-
-
 def fiber_table(rel: MultiPoly, lambdas) -> list:
     """All fibers of x, u, y at the given parameter values on the B_n of the
-    relation rel, classified."""
+    relation rel, classified: (generator, lam, fiber, curve class) rows."""
     rows = []
     for generator in ("x", "u", "y"):
         for lam in lambdas:
             p = fiber_poly(rel, generator, lam)
-            rows.append(FiberTableRow(generator, lam, p, classify_curve(p)))
+            rows.append((generator, lam, p, classify_curve(p)))
     return rows
 
 

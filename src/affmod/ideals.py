@@ -174,8 +174,6 @@ def ideals_equal(a: Ideal, b: Ideal) -> bool:
 def colength(ideal: Ideal):
     """Dimension of ring/ideal as a k-vector space; INFINITE if unbounded."""
     gb = ideal.groebner_basis
-    if not gb:
-        return 0 if ideal.ring.nvars == 0 else INFINITE
     if any(g.is_constant() for g in gb):
         return 0
     n = ideal.ring.nvars

@@ -562,18 +562,9 @@ def distinct_root_count(p: MultiPoly, v: str) -> int:
     return len(_squarefree(_dense(p, v), p.ring.field.char)) - 1
 
 
-@dataclass(frozen=True)
-class LinearDecomposition:
-    """p = common * (c_prime * v + d_prime) with gcd(c', d') = 1, for the
-    variable v that p was split in."""
-
-    common: MultiPoly
-    c_prime: MultiPoly
-    d_prime: MultiPoly
-
-
-def linear_decompose(p: MultiPoly, v: str) -> LinearDecomposition:
-    """Split a polynomial linear in v into common factor and primitive part.
+def linear_decompose(p: MultiPoly, v: str) -> tuple:
+    """Split a polynomial linear in v into common factor and primitive part:
+    (common, c', d') with p = common * (c' * v + d') and gcd(c', d') = 1.
 
     Requires both coefficients of v to be univariate in one shared other
     variable (or constant).
@@ -592,12 +583,12 @@ def linear_decompose(p: MultiPoly, v: str) -> LinearDecomposition:
     c_prime, d_prime = (e if e.is_zero else _poly(_divide(_dense(e, w), b, char)[0],
                                                    e.leading(LEX)[1], p.ring, w)
                         for e in (c, d))
-    return LinearDecomposition(g, c_prime, d_prime)
+    return g, c_prime, d_prime
 
 
 def linear_form(p: MultiPoly):
-    """The linear_decompose of p in its first variable that admits one; None
-    if none does.
+    """The (common, c', d') of linear_decompose in the first variable of p
+    that admits one; None if none does.
 
     That is also the variable whose c' has the least degree: a bivariate p
     linear in both variables is a*x*y + b*x + c*y + d, and both of its c'

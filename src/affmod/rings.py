@@ -125,7 +125,7 @@ def certify_irreducible(p: MultiPoly):
     # p = common * residual is a proper factorization unless common is a
     # constant, and c'*v + d' with gcd(c', d') = 1 is prime
     dec = linear_form(p)
-    return None if dec is None else dec.common.is_constant()
+    return None if dec is None else dec[0].is_constant()
 
 
 def _irreducible(p: MultiPoly, curve: CurveClass):

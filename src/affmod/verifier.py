@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from argparse import ArgumentTypeError
 from dataclasses import dataclass
-from fractions import Fraction
+from fractions import _RATIONAL_FORMAT, Fraction
 from itertools import product
 from types import SimpleNamespace
 from typing import Callable
@@ -18,7 +18,7 @@ from typing import Callable
 from .degrees import DEFAULT_PROBE, exhaustive_probe
 from .fibers import expected_fiber_class, fiber_table
 from .ideals import ideals_equal, normal_form
-from .parse import format_poly
+from .parse import _format_scalar, _read_int, format_poly
 from .poly import Ring, exact_div
 from .report import VerificationReport
 from .rings import (
@@ -79,24 +79,23 @@ def cmd_fibers(n: int, lambdas=DEFAULT_LAMBDAS, field=QQ) -> VerificationReport:
     usable = []
     for lam in lambdas:
         if field.char and Fraction(lam).denominator % field.char == 0:
-            transcript.append(
-                f"lambda = {lam}: skipped [note: its denominator is 0 in {field}]"
-            )
+            transcript.append(f"lambda = {_format_scalar(Fraction(lam))}: skipped "
+                              f"[note: its denominator is 0 in {field}]")
         else:
             usable.append(scalar_from_rational(field, lam))
     rows = fiber_table(build_Bn(n, field).defining.generators[0], usable)
-    for row in rows:
-        expected, note = expected_fiber_class(n, row.generator, row.lam, field)
+    for generator, lam, fiber, curve_class in rows:
+        expected, note = expected_fiber_class(n, generator, lam, field)
         line = (
-            f"{row.generator} = {row.lam}: {format_poly(row.fiber)} "
-            f"-> {row.curve_class} (expected {expected})"
+            f"{generator} = {_format_scalar(lam)}: {format_poly(fiber)} "
+            f"-> {curve_class} (expected {expected})"
         )
         if note:
             line += f" [note: {note}]"
         transcript.append(line)
-        if row.curve_class.reason:
+        if curve_class.reason:
             unknowns.append(line)
-        elif row.curve_class != expected:
+        elif curve_class != expected:
             failures.append(line)
     if not rows:
         unknowns.append(f"no lambda is usable in {field}, so no fiber was classified")
@@ -362,7 +361,7 @@ def cmd_main_identities(n: int, field=QQ) -> VerificationReport:
 
 
 @_timed
-def cmd_degree_probe(n_max: int = 5, box: int = 5) -> VerificationReport:
+def cmd_degree_probe(n_max: int, box: int) -> VerificationReport:
     """Exhaustive weight probe: every nonzero integer weight in the box
     produces a probe element of negative degree, for every n."""
     _require_positive(n=n_max, box=box)
@@ -400,11 +399,22 @@ def positive_int(text: str) -> int:
 
 
 def rational(text: str) -> Fraction:
-    """argparse type of --lambda: a rational literal such as 1/2."""
+    """argparse type of --lambda: a rational literal such as 1/2, -3/4, 1.5
+    or 1e3, read as Fraction(text) reads it but at any length (Fraction's
+    int() refuses more digits than the interpreter's limit)."""
+    m = _RATIONAL_FORMAT.match(text)
     try:
-        return Fraction(text)
+        if m is None:
+            raise ValueError(text)
+        if m["denom"]:
+            value = Fraction(_read_int(m["num"]), _read_int(m["denom"]))
+        else:  # digits, a '.' and more digits, and an exponent, each optional
+            decimal = m["decimal"] or ""
+            exp = int(m["exp"] or "0") - len(decimal.replace("_", ""))
+            value = _read_int(m["num"] + decimal) * Fraction(10) ** exp
     except (ValueError, ZeroDivisionError):
         raise ArgumentTypeError(f"not a rational literal: {text!r}")
+    return -value if m["sign"] == "-" else value
 
 
 @dataclass(frozen=True)

@@ -75,26 +75,20 @@ class TestValuationDegree:
 
 
 class TestProbe:
-    def test_trivial_weight(self):
-        assert probe_nonnegativity(probe_elements(2), [(0, 0)])[0]["verdict"] == "trivial-ok"
-
     def test_simple_witnesses(self):
-        r, = probe_nonnegativity(probe_elements(2), [(-1, 0)])
-        assert r == {"verdict": "witness", "witness": "x", "degree": -1}
-        r, = probe_nonnegativity(probe_elements(2), [(0, -3)])
-        assert r["verdict"] == "witness" and r["witness"] == "y"
+        assert probe_nonnegativity(probe_elements(2), [(-1, 0)]) == [("x", -1)]
+        (witness, _degree), = probe_nonnegativity(probe_elements(2), [(0, -3)])
+        assert witness == "y"
 
     def test_u_witness(self):
         # weights (1, 0): deg u = 1 - n < 0 once n >= 2
-        r, = probe_nonnegativity(probe_elements(3), [(1, 0)])
-        assert r == {"verdict": "witness", "witness": "u", "degree": -2}
+        assert probe_nonnegativity(probe_elements(3), [(1, 0)]) == [("u", -2)]
 
     def test_n1_needs_v(self):
         w = (1, 0)
-        full, = probe_nonnegativity(probe_elements(1), [w])
-        assert full["verdict"] == "witness" and full["witness"] == "v"
-        restricted, = probe_nonnegativity(probe_elements(1, ("x", "y", "u")), [w])
-        assert restricted["verdict"] == "no-witness"
+        (witness, _degree), = probe_nonnegativity(probe_elements(1), [w])
+        assert witness == "v"
+        assert probe_nonnegativity(probe_elements(1, ("x", "y", "u")), [w]) == [None]
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
@@ -123,9 +117,11 @@ class TestProbe:
         oracle = []
         for n, a, b in product(range(1, 5), range(-4, 5), range(-4, 5)):
             if (a, b) != (0, 0):
-                r, = probe_nonnegativity(probe_elements(n, names), [(a, b)])
-                oracle.append({"n": n, "weight": [a, b], "verdict": r["verdict"],
-                               "witness": r["witness"], "degree": r["degree"]})
+                hit, = probe_nonnegativity(probe_elements(n, names), [(a, b)])
+                witness, degree = hit or ("", None)
+                oracle.append({"n": n, "weight": [a, b],
+                               "verdict": "witness" if hit else "no-witness",
+                               "witness": witness, "degree": degree})
         assert results == oracle
 
     def test_restricted_probe_gap_is_exactly_n1_positive_axis(self):
@@ -148,8 +144,8 @@ def _definition_rows(n: int, names, box: int) -> list:
             continue
         row = {"n": n, "weight": list(w), "verdict": "no-witness", "witness": "",
                "degree": None}
-        for name, f in probe_elements(n, names).items():
-            d = deg(f.numerator, w) - sum(deg(e, w) for e in f.inverted)
+        for name, (numerator, inverted) in probe_elements(n, names).items():
+            d = deg(numerator, w) - sum(deg(e, w) for e in inverted)
             if d < 0:
                 row |= {"verdict": "witness", "witness": name, "degree": d}
                 break

@@ -170,9 +170,9 @@ class TestFiberClassification:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_table_matches_expected(self, n):
         lambdas = [0, 1, 2, -1, Fraction(1, 2)]
-        for row in fiber_table(relation(n), lambdas):
-            expected, _note = expected_fiber_class(n, row.generator, row.lam)
-            assert row.curve_class == expected, (n, row.generator, row.lam)
+        for generator, lam, _fiber, curve_class in fiber_table(relation(n), lambdas):
+            expected, _note = expected_fiber_class(n, generator, lam)
+            assert curve_class == expected, (n, generator, lam)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_y_fibers_detect_n(self, n):
@@ -209,8 +209,8 @@ class TestFiberClassification:
 
     def test_every_fiber_is_nonempty_and_reduced_class(self):
         for n in (1, 2, 3):
-            for row in fiber_table(relation(n), [0, 1, 2, -1]):
-                assert row.curve_class.punctures and not row.curve_class.reason
+            for *_, curve_class in fiber_table(relation(n), [0, 1, 2, -1]):
+                assert curve_class.punctures and not curve_class.reason
 
     @pytest.mark.parametrize(
         "p, n, y_one, y_lam",

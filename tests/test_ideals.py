@@ -239,6 +239,11 @@ class TestColength:
         x, _ = rxy.gens()
         assert colength(Ideal([x, x - 1])) == 0
 
+    def test_zero_ideal(self, rxy):
+        # k[]/(0) = k has dimension 1; k[x, y]/(0) is infinite-dimensional
+        assert colength(Ideal([ring().zero()])) == 1
+        assert colength(Ideal([rxy.zero()])) == INFINITE
+
     def test_order_independence(self, rxy):
         x, y = rxy.gens()
         gens = [x**2 + y**2 - 1, x - y]

@@ -430,20 +430,19 @@ class TestSquarefree:
 class TestLinearDecompose:
     def test_common_factor_x(self, rxy):
         x, y = rxy.gens()
-        d = linear_decompose(x**3 * y - x, "y")
-        assert d.common == x and d.c_prime == x**2 and d.d_prime == -rxy.one()
+        assert linear_decompose(x**3 * y - x, "y") == (x, x**2, -rxy.one())
 
     def test_reducible_unit_fiber(self, rxyu):
         x, y, u = rxyu.gens()
-        d = linear_decompose(u * (x**3 - 1) - (x - 1), "u")
-        assert d.common == x - 1
-        assert d.c_prime == x**2 + x + 1
-        assert d.d_prime == -rxyu.one()
+        common, c_prime, d_prime = linear_decompose(u * (x**3 - 1) - (x - 1), "u")
+        assert common == x - 1
+        assert c_prime == x**2 + x + 1
+        assert d_prime == -rxyu.one()
 
     def test_zero_constant_part(self, rxyu):
         x, y, u = rxyu.gens()
-        d = linear_decompose(u * (y - 1), "u")
-        assert d.common == y - 1 and d.c_prime == rxyu.one() and d.d_prime.is_zero
+        common, c_prime, d_prime = linear_decompose(u * (y - 1), "u")
+        assert common == y - 1 and c_prime == rxyu.one() and d_prime.is_zero
 
     def test_not_linear_rejected(self, rxy):
         x, y = rxy.gens()
@@ -472,10 +471,10 @@ class TestLinearDecompose:
             if c.is_zero:
                 continue
             p = c * y + d
-            dec = linear_decompose(p, "y")
-            assert dec.common * (dec.c_prime * y + dec.d_prime) == p
-            if not (dec.c_prime.is_constant() and dec.d_prime.is_constant()):
-                g = gcd_univariate(dec.c_prime, dec.d_prime, "x")
+            common, c_prime, d_prime = linear_decompose(p, "y")
+            assert common * (c_prime * y + d_prime) == p
+            if not (c_prime.is_constant() and d_prime.is_constant()):
+                g = gcd_univariate(c_prime, d_prime, "x")
                 assert g == r.one()
 
 
@@ -492,9 +491,9 @@ class TestLinearDecompose:
         a, b, c, d = (r.const(e) for e in abcd)
         p = a * x * y + b * x + c * y + d
         assume(p.degree_in("x") == 1 and p.degree_in("y") == 1)
-        by_x, by_y = (linear_decompose(p, v) for v in "xy")
-        assert by_x.common.is_constant() == by_y.common.is_constant() == (a * d != b * c)
-        assert max(map(sum, by_x.c_prime.terms)) == max(map(sum, by_y.c_prime.terms))
+        (common_x, c_x, _), (common_y, c_y, _) = (linear_decompose(p, v) for v in "xy")
+        assert common_x.is_constant() == common_y.is_constant() == (a * d != b * c)
+        assert max(map(sum, c_x.terms)) == max(map(sum, c_y.terms))
 
 
 class TestNegativeWeightMonomials:

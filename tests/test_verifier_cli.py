@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from argparse import ArgumentTypeError
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affmod import GREVLEX, Ideal, degrees, ideals, ideals_equal, poly, ring, verifier
 from affmod.cli import FIELD_ENV_VAR, build_parser, run
@@ -55,6 +58,15 @@ class TestVerifierCommands:
         assert (rep.claim_id, rep.status) == ("fibers-n14285", "verified")
         digits = str(Decimal(2**14285))
         assert any(line.startswith(f"x = 2: {digits}*") for line in rep.transcript)
+
+    def test_fibers_print_lambdas_of_any_length(self):
+        ones = "1" * 5000
+        rep = cmd_fibers(2, [Fraction(10**5000 // 9)])
+        assert (rep.status, rep.detail) == ("verified", "3 fibers match")
+        assert rep.transcript[0].startswith(f"x = {ones}: ")
+        rep = cmd_fibers(2, [Fraction(10**5000 // 9, 3)], PrimeField(3))
+        assert rep.transcript == [
+            f"lambda = {ones}/3: skipped [note: its denominator is 0 in GF(3)]"]
 
     def test_fibers_make_no_multivariate_division(self, monkeypatch):
         # every fiber class is decided on dense univariate lists
@@ -338,6 +350,31 @@ class TestCli:
     def test_field_env_default(self, monkeypatch):
         monkeypatch.setenv(FIELD_ENV_VAR, "fp:101")
         assert run(["localization", "--n", "1", "--quiet"]) == 0
+
+    def test_lambda_of_any_length(self, capsys):
+        assert run(["fibers", "--n", "2", "--lambda", "1" * 5000]) == 0
+        assert "[PASS] fibers-n2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, value", [
+        ("1.5", Fraction(3, 2)), ("-3/4", Fraction(-3, 4)), ("1e3", Fraction(1000)),
+        ("-" + "1" * 5000 + "/" + "3" * 4999, -Fraction(10**5000 // 9, 10**4999 // 3)),
+        ("2" * 4400 + ".5e-3", Fraction(int(Decimal("2" * 4400 + "5")), 10**4)),
+    ], ids=["decimal", "fraction", "exponent", "long-fraction", "long-decimal"])
+    def test_rational_literals(self, text, value):
+        assert verifier.rational(text) == value
+
+    @given(st.text(alphabet="0123456789 _./-+eE", max_size=8))
+    @settings(max_examples=500, deadline=None)
+    def test_rational_reads_what_fraction_reads(self, text):
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            expected = None
+        try:
+            got = verifier.rational(text)
+        except ArgumentTypeError:
+            got = None
+        assert got == expected
 
     def test_rejects_bad_lambda(self, capsys):
         with pytest.raises(SystemExit):
