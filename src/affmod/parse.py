@@ -17,7 +17,7 @@ printed, not re-parseable.
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 from .poly import GREVLEX, MultiPoly, Ring
@@ -42,7 +42,34 @@ def _read_int(digits: str) -> int:
 
 
 def _int_text(n: int) -> str:
-    return str(n) if n.bit_length() <= 2000 else str(Decimal(n))
+    """The decimal digits of n, in time subquadratic in their number.
+
+    str(Decimal(n)) is quadratic.  Past 2000 bits n is split at a power of
+    two, and the halves are joined as Decimals, n = lo + hi * 2**k, whose
+    products are subquadratic (the method of CPython 3.12's
+    _pylong.int_to_decimal).  Each power 2**k is built once."""
+    if n.bit_length() <= 2000:
+        return str(n)
+    powers = {}
+
+    def two_to(k: int) -> Decimal:
+        if k not in powers:
+            powers[k] = (Decimal(2) ** k if k <= 2000
+                         else two_to(k // 2) * two_to(k - k // 2))
+        return powers[k]
+
+    def to_decimal(m: int, bits: int) -> Decimal:  # 0 <= m < 2**bits
+        if bits <= 2000:
+            return Decimal(m)
+        k = bits // 2
+        hi = m >> k
+        return to_decimal(m - (hi << k), k) + to_decimal(hi, bits - k) * two_to(k)
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        ctx.traps[Inexact] = True
+        text = str(to_decimal(abs(n), n.bit_length()))
+    return "-" + text if n < 0 else text
 
 
 def tokenize(text: str) -> list:

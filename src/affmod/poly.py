@@ -12,7 +12,7 @@ import heapq
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from operator import le
+from operator import mul
 
 from .scalars import QQ, scalar_from_rational
 
@@ -114,10 +114,11 @@ class MultiPoly:
     """Immutable sparse polynomial; terms map monomials to nonzero scalars.
 
     ``_lead`` caches the leading (monomial, coefficient) per order kind, so
-    each polynomial scans its terms at most once per order.
+    each polynomial scans its terms at most once per order, and ``_packed``
+    its form as a divisor of ``divide_multi`` per order kind and width.
     """
 
-    __slots__ = ("ring", "terms", "_hash", "_lead")
+    __slots__ = ("ring", "terms", "_hash", "_lead", "_packed")
 
     def __init__(self, ring: Ring, terms: dict):
         object.__setattr__(self, "ring", ring)
@@ -283,6 +284,18 @@ class MultiPoly:
             lead = cache[order.kind] = (m, self.terms[m])
         return lead
 
+    def packed(self, order: MonomialOrder, width: int):
+        """This polynomial as a divisor of the division kernel at one field
+        width (``_pack_divisor``), built once per order kind and width."""
+        cache = getattr(self, "_packed", None)  # set on first use only
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_packed", cache)
+        key = (order.kind, width)
+        if key not in cache:
+            cache[key] = _pack_divisor(self, order, width)
+        return cache[key]
+
     def monic(self, order: MonomialOrder = GREVLEX) -> "MultiPoly":
         if self.is_zero:
             return self
@@ -330,58 +343,176 @@ def divide_multi(p: MultiPoly, divisors, order: MonomialOrder):
 
     Each step takes the largest monomial m left and divides by the first
     divisor whose leading monomial divides m; if none does, m goes to the
-    remainder.  The working polynomial is a mutable dict, and its monomials
-    sit in a heap with lazy deletion: a monomial whose coefficient cancels
-    stays in the heap and is skipped when popped (Monagan and Pearce 2007,
+    remainder.  The working polynomial is a dict, and its monomials sit in
+    a heap; a monomial whose coefficient cancels is skipped when popped.
+    Monomials and coefficients are plain ints (Monagan and Pearce 2007,
     "Polynomial division using dynamic arrays, heaps, and packed exponent
-    vectors").
+    vectors"):
+
+    * A monomial is its packed exponent vector P (``_layout``): one field of
+      ``width`` bits plus a guard bit per variable, so lm | m is
+      ((P_m | G) - P_lm) & G == G for the mask G of guard bits.  Heap and
+      dict hold an additive order key instead, so a product of monomials is
+      one int addition.
+    * ``width`` starts at 8 bits and doubles until it holds the total degree
+      of every term of p and of the divisors.  Under grevlex no exponent
+      then outgrows it; under lex one can, and a popped monomial that has
+      set a guard bit restarts the division at twice the width.  So
+      exponents of any size stay exact.
+    * Over GF(p) a coefficient is an int reduced mod p when its term is
+      popped, and divisor tails are monic and negated.  Over QQ the kernel
+      is fraction-free: each divisor is kappa*g' with g' primitive of
+      leading coefficient L (``_pack_divisor``), and it keeps
+      scale * (p - sum(q_i * g_i) - r) = W for the integer working
+      polynomial W.  To divide a coefficient c by L, W and scale are first
+      multiplied by L / gcd(c, L).  A remainder term c*m is then
+      Fraction(c, scale)*m, and a quotient term c*m is
+      Fraction(c, scale)/kappa*m, so quotients and remainder stay exact.
+
+    The packed form of a divisor is cached on it (``MultiPoly.packed``).
     """
     divisors = list(divisors)
     if any(g.is_zero for g in divisors):
         raise ZeroPolynomialError("zero divisor in division")
     for g in divisors:
         p._check_ring(g)
+    width = 8
+    while max(map(sum, p.terms), default=0) >> width:
+        width *= 2
+    while (out := _divide_packed(p, divisors, order, width)) is None:
+        width *= 2
+    return out
+
+
+def _divide_packed(p: MultiPoly, divisors: list, order: MonomialOrder, width: int):
+    """divide_multi with exponent fields of the given width; None if an
+    exponent does not fit."""
+    heads = [g.packed(order, width) for g in divisors]
+    if None in heads:
+        return None
     ring_ = p.ring
-    f = ring_.field
-    add, mul = f.add, f.mul
-    hkey = order.key
-    # per divisor: leading monomial, 1/lc, and the tail with negated coefficients
-    heads = []
-    for g in divisors:
-        lm, lc = g.leading(order)
-        tail = [(m, f.neg(c)) for m, c in g.terms.items() if m != lm]
-        heads.append((lm, f.inv(lc), tail))
-    quotients = [{} for _ in divisors]
-    remainder = {}
-    work = dict(p.terms)
-    heap = [(hkey(m), m) for m in work]
+    offsets, sign, weights = _layout(ring_.nvars, order.kind, width)
+    mask = (1 << ring_.nvars * (width + 1)) - 1
+    guard = sum([1 << o + width for o in offsets])
+    leads = [head[0] for head in heads]
+    char = ring_.field.char
+    scale, terms = _int_terms(p)
+    work = {sum(map(mul, m, weights)): c for m, c in terms.items()}
+    heap = list(work)
     heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
+    pop, push, gcd = heapq.heappop, heapq.heappush, math.gcd
+    # terms (P, c, scale at the step) of each quotient and of the remainder
+    quotients = [[] for _ in divisors]
+    remainder = []
     while heap:
-        m = pop(heap)[1]
-        c = work.pop(m, None)
-        if c is None:  # cancelled, or a second heap entry of a term done
+        h = pop(heap)
+        c = work.pop(h)  # products only add smaller keys: one entry per key
+        if char:
+            c %= char
+        if not c:
             continue
-        for q, (lm, inv_lc, tail) in zip(quotients, heads):
-            if all(map(le, lm, m)):
-                qm = tuple([a - b for a, b in zip(m, lm)])
-                qc = q[qm] = mul(c, inv_lc)
-                for tm, tc in tail:
-                    nm = tuple([a + b for a, b in zip(qm, tm)])
-                    old = work.get(nm)
-                    if old is None:
-                        work[nm] = mul(qc, tc)
-                        push(heap, (hkey(nm), nm))
-                    else:
-                        new = add(old, mul(qc, tc))
-                        if new:
-                            work[nm] = new
-                        else:
-                            del work[nm]
+        m = sign * h & mask
+        if m & guard:
+            return None
+        m_guarded = m | guard
+        for i, lead_m in enumerate(leads):
+            if (m_guarded - lead_m) & guard == guard:
                 break
         else:
-            remainder[m] = c
-    return [MultiPoly(ring_, q) for q in quotients], MultiPoly(ring_, remainder)
+            remainder.append((m, c, scale))
+            continue
+        _, lead_h, lead_c, tail, _, _ = heads[i]
+        if lead_c != 1:
+            d = gcd(c, lead_c)
+            if d != lead_c:
+                a = lead_c // d
+                work = {k: a * e for k, e in work.items()}
+                scale *= a
+            c //= d
+        quotients[i].append((m - lead_m, c, scale))
+        qh = h - lead_h
+        for th, tc in tail:
+            nh = qh + th
+            old = work.get(nh)
+            if old is None:
+                work[nh] = c * tc
+                push(heap, nh)
+            else:
+                work[nh] = old + c * tc
+    field_mask = (1 << width + 1) - 1
+
+    def terms_of(triples, num, den):
+        if char:
+            return {tuple([m >> o & field_mask for o in offsets]): c * num % char
+                    for m, c, _ in triples}
+        return {tuple([m >> o & field_mask for o in offsets]): Fraction(c * num, s * den)
+                for m, c, s in triples}
+
+    return ([MultiPoly(ring_, terms_of(q, num, den))
+             for q, (*_, num, den) in zip(quotients, heads)],
+            MultiPoly(ring_, terms_of(remainder, 1, 1)))
+
+
+def _layout(nvars: int, kind: str, width: int) -> tuple:
+    """How monomials pack at one field width: (offsets, sign, weights).
+
+    The packed exponent vector P of a monomial has one field of width + 1
+    bits per variable, at the bit offsets given; the top bit of a field is
+    a guard bit, clear while the exponent fits in width bits.  x_1 has the
+    highest field under lex and the lowest under grevlex, so that P orders
+    like lex, and like grevlex among monomials of one degree.  The key of a
+    monomial, the dot product of its exponents with the weights, is -P
+    under lex and P - (degree << nvars*(width + 1)) under grevlex.  Keys
+    add as monomials multiply, a smaller key is a larger monomial, and P is
+    (sign * key) & (2**(nvars*(width + 1)) - 1).
+    """
+    offsets = [(width + 1) * i for i in range(nvars)]
+    if kind == "lex":
+        offsets.reverse()
+        return offsets, -1, [-1 << o for o in offsets]
+    if kind == "grevlex":
+        top = 1 << nvars * (width + 1)
+        return offsets, 1, [(1 << o) - top for o in offsets]
+    raise ValueError(f"unknown order kind {kind!r}")
+
+
+def _int_terms(f: MultiPoly) -> tuple:
+    """(d, the terms of d*f) for the least common denominator d of f's
+    coefficients over QQ; (1, f's terms) over GF(p)."""
+    if f.ring.field.char:
+        return 1, f.terms
+    d = math.lcm(*[c.denominator for c in f.terms.values()])
+    return d, {m: c.numerator * (d // c.denominator) for m, c in f.terms.items()}
+
+
+def _pack_divisor(g: MultiPoly, order: MonomialOrder, width: int):
+    """g as a divisor of the division kernel: (P and key of its leading
+    monomial, leading coefficient L of its integer form, tail, num, den);
+    None if the total degree of a term of g needs more than width bits.
+
+    The tail lists (key, -c) for the other terms c*m of the integer form.
+    Over GF(p) that form is g/lc, so L = 1; over QQ it is the primitive g'
+    with g = kappa*g' and L > 0.  A kernel coefficient c at scale s stands
+    for the quotient coefficient c*num / (s*den): num/den is 1/lc over GF(p)
+    and 1/kappa over QQ.
+    """
+    if max(map(sum, g.terms)) >> width:
+        return None
+    lm, lc = g.leading(order)
+    offsets, _, weights = _layout(g.ring.nvars, order.kind, width)
+    char = g.ring.field.char
+    if char:
+        num, den, lead_c = pow(lc, -1, char), 1, 1
+        tail = [(sum(map(mul, m, weights)), -c * num % char)
+                for m, c in g.terms.items() if m != lm]
+    else:
+        num, terms = _int_terms(g)
+        den = math.gcd(*terms.values()) * (1 if lc > 0 else -1)
+        lead_c = terms[lm] // den
+        tail = [(sum(map(mul, m, weights)), -c // den)
+                for m, c in terms.items() if m != lm]
+    return (sum([e << o for e, o in zip(lm, offsets)]), sum(map(mul, lm, weights)),
+            lead_c, tail, num, den)
 
 
 def reduce_mod(p: MultiPoly, divisors, order: MonomialOrder) -> MultiPoly:
@@ -405,13 +536,10 @@ def _dense(p: MultiPoly, v: str) -> list:
     if extra:
         raise ValueError(f"not univariate in {v!r}: also involves {extra}")
     i = p.ring.index(v)
-    terms = p.terms
-    char = p.ring.field.char
-    if not char:
-        den = math.lcm(*[c.denominator for c in terms.values()])
+    terms = _int_terms(p)[1]
     coeffs = [0] * (max((m[i] for m in terms), default=-1) + 1)
     for m, c in terms.items():
-        coeffs[m[i]] = c if char else c.numerator * (den // c.denominator)
+        coeffs[m[i]] = c
     return coeffs
 
 

@@ -163,9 +163,12 @@ def cmd_takanori(field=QQ) -> VerificationReport:
     step4 = c2.equal(V, 1 - Y * U)
     transcript.append(f"V = 1 - Y*U in C2 (so C2 is generated by X, Y, U): {step4}")
     if not step4:
+        point = {"X": 1, "Y": 1, "U": 0, "V": 0}
+        g1, g2, h = (f.substitute(point) for f in (*c2.defining.generators, V - 1 + Y * U))
         transcript.append(
-            "  witness: V - 1 + Y*U is nonzero at the point X = Y = 1, U = 0, "
-            "V = 5 where both defining relations of C2 vanish"
+            f"  witness: at X = Y = 1, U = V = 0 the defining relations of C2 "
+            f"evaluate to {format_poly(g1)} and {format_poly(g2)}, and V - 1 + Y*U "
+            f"to {format_poly(h)}"
         )
     ok &= step4
 

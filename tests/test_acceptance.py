@@ -37,6 +37,7 @@ from affmod.degrees import exhaustive_probe, probe_elements
 from affmod.fibers import fiber_table
 from affmod.poly import exact_div, reduce_mod
 from affmod.rings import build_Bn, build_C1, build_C2, c1_alternate_ideal, c1_to_c2_map
+from affmod.scalars import QQ, PrimeField
 
 from conftest import random_poly
 from naive_gb import naive_buchberger
@@ -135,12 +136,16 @@ def test_2_two_generator_isomorphism_chain_as_stated():
         images = [g.substitute(phi, target=c2.ambient) for g in ideal_J.generators]
         assert images == c2.defining.generators
 
-        # V = 1 - YU fails in C2: both relations vanish at X = Y = 1, U = 0,
-        # V = 5, where V - 1 + YU = 4
+        # V = 1 - YU fails in C2: both relations vanish at X = Y = 1,
+        # U = V = 0, where V - 1 + YU = -1, in every characteristic
+        point_c2 = {"X": 1, "Y": 1, "U": 0, "V": 0}
+        for field in (QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(101)):
+            c2_field = build_C2(field)
+            X, Y, U, V = c2_field.ambient.gens()
+            assert all(g.substitute(point_c2).is_zero
+                       for g in c2_field.defining.generators)
+            assert (V - 1 + Y * U).substitute(point_c2) == -1
         X, Y, U, V = c2.ambient.gens()
-        point_c2 = {"X": 1, "Y": 1, "U": 0, "V": 5}
-        assert all(g.substitute(point_c2).is_zero for g in c2.defining.generators)
-        assert (V - 1 + Y * U).substitute(point_c2) == 4
         assert c2.equal(V, 1 - Y * U) is False
 
         # the verdict does not rest on the engine under test alone

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from affmod import (
     ideals_equal,
     is_point_ideal,
     normal_form,
+    parse_poly,
+    poly,
     ring,
 )
 from affmod.ideals import s_polynomial
@@ -25,6 +28,13 @@ from naive_gb import naive_buchberger
 
 RXY = ring("x", "y")
 RXYU = ring("x", "y", "u")
+KATSURA4 = ["x0 + 2*x1 + 2*x2 + 2*x3 + 2*x4 - 1",
+            "x0^2 + 2*x1^2 + 2*x2^2 + 2*x3^2 + 2*x4^2 - x0",
+            "2*x0*x1 + 2*x1*x2 + 2*x2*x3 + 2*x3*x4 - x1",
+            "x1^2 + 2*x0*x2 + 2*x1*x3 + 2*x2*x4 - x2",
+            "2*x1*x2 + 2*x0*x3 + 2*x1*x4 - x3"]
+CYCLIC4 = ["a + b + c + d", "a*b + b*c + c*d + d*a",
+           "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1"]
 
 
 class TestBuchberger:
@@ -81,6 +91,31 @@ class TestBuchberger:
             if all(g.is_zero for g in gens):
                 continue
             assert buchberger_gb(gens, GREVLEX) == naive_buchberger(gens, GREVLEX)
+
+    @pytest.mark.parametrize("texts, names, order, size", [
+        (KATSURA4, [f"x{i}" for i in range(5)], GREVLEX, 13),
+        (CYCLIC4, list("abcd"), LEX, 6),
+    ], ids=["katsura4-grevlex", "cyclic4-lex"])
+    def test_divisors_packed_once(self, monkeypatch, texts, names, order, size):
+        """The division kernel packs each basis element once per order, and
+        later reductions by the finished basis reuse that form."""
+        r = ring(*names)
+        packs, packed = Counter(), []
+        real = poly._pack_divisor
+
+        def counted(g, order, width):
+            packed.append(g)  # alive until the end, so its id stays unique
+            packs[id(g), order.kind] += 1
+            return real(g, order, width)
+
+        monkeypatch.setattr(poly, "_pack_divisor", counted)
+        gb = buchberger_gb([parse_poly(t, r) for t in texts], order)
+        assert len(gb) == size
+        for _ in range(2):
+            for g in gb:
+                assert reduce_mod(g * g + r.one(), gb, order) == r.one()
+        assert packs and max(packs.values()) == 1
+        assert all(packs[id(g), order.kind] == 1 for g in gb)
 
     def test_prime_field(self):
         r5 = ring("x", "y", field=PrimeField(5))

@@ -1,3 +1,5 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from affmod import (
     parse_poly,
     ring,
 )
+from affmod.parse import _int_text
 
 from conftest import poly_strategy
 
@@ -143,6 +146,25 @@ class TestFormat:
         for p in (ones * x - 3, x**ones - y, -ones * y):
             assert parse_poly(format_poly(p), RXY) == p
         assert format_poly(x.scale(Fraction(-1, ones + 1))) == f"-1/{'1' * 4999}2*x"
+
+    def test_int_text_matches_str(self):
+        """Big ints print by divide and conquer; the digits are str()'s,
+        with the interpreter's digit limit (Python 3.11 and later) lifted
+        for the comparison."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        rng = random.Random(5)
+        try:
+            for bits in (1, 1999, 2000, 2001, 2002, 4001, 6643):
+                for n in (2**bits - 1, 2**bits, rng.getrandbits(bits)):
+                    assert _int_text(n) == str(n)
+                    assert _int_text(-n) == str(-n)
+            for n in (10**99999, 10**100000 - 1, -(10**100000) - 1):
+                assert _int_text(n) == str(n)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
 
     @given(p=poly_strategy(RXYU))
     @settings(max_examples=200)

@@ -175,14 +175,68 @@ class TestDivision:
         r, order, (p, *divisors) = case
         divisors = [d for d in divisors if not d.is_zero]
         assume(divisors)
-        qs, rem = divide_multi(p, divisors, order)
-        assert sum((q * d for q, d in zip(qs, divisors)), rem) == p
+        qs, rem = _assert_matches_naive(p, divisors, order)
         lead_monos = [d.leading(order)[0] for d in divisors]
         assert not any(mono_divides(lm, m) for lm in lead_monos for m in rem.terms)
-        ref_qs, ref_rem = divide(dict(p.terms), [dict(d.terms) for d in divisors],
-                                 ORDER_KEYS[order.kind], r.field.char)
-        assert [q.terms for q in qs] == ref_qs
-        assert rem.terms == ref_rem
+
+    # the kernel packs 8-bit exponent fields at first, then 16, 32, 64, 128
+    @pytest.mark.parametrize("e", [2**31 - 1, 2**31, 2**32 + 1, 2**64])
+    @pytest.mark.parametrize("order", [LEX, GREVLEX], ids=["lex", "grevlex"])
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    def test_wide_exponents(self, e, order, field):
+        r = ring("x", "y", "z", field=field)
+        x, y, z = r.gens()
+        p = 3 * x**e * y**2 - x ** (e - 1) * y * z**e + 5 * z ** (e + 1) - 2
+        # few division steps under both orders, and exponents past 2**e
+        _assert_matches_naive(p, [x**e - y**3, y * z - 1], order)
+        _assert_matches_naive(p, [x ** (e - 1) * y * z - 1, z**e - y], order)
+        # a divisor wider than the dividend widens the fields too
+        _assert_matches_naive(x * y * z + y**2, [x**e * y - 1, y * z + 1], order)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["QQ", "GF101"])
+    def test_lex_exponents_outgrow_the_input(self, field):
+        """Under lex, x^2 by x - y^200 leaves y^400, past the 8-bit fields
+        that the inputs fit in; the kernel widens and stays exact."""
+        r = ring("x", "y", field=field)
+        x, y = r.gens()
+        _, rem = _assert_matches_naive(x**2 + x * y, [x - y**200], LEX)
+        assert rem == y**400 + y**201
+        # y^508 appears, then y^761, which y^3 - 1 brings back down
+        _assert_matches_naive(x**3 * y**2 - 7, [x * y**2 - y**255, y**3 - 1], LEX)
+
+    @pytest.mark.parametrize("order", [LEX, GREVLEX], ids=["lex", "grevlex"])
+    def test_rationals_divide_exactly(self, order):
+        """Over QQ the kernel divides on integers: dividend and divisors
+        with non-unit content, negative leading coefficients and large
+        denominators still give the exact quotients and remainder."""
+        rng = random.Random(26)
+        r = ring("x", "y", "z")
+        monos = [(a, b, c) for a in range(4) for b in range(4) for c in range(3)]
+
+        def rand_poly(terms):
+            big = 10**rng.randint(1, 30)
+            return MultiPoly(r, {m: Fraction(rng.randint(-big, big), rng.randint(1, big))
+                                 for m in rng.sample(monos, terms)})
+
+        for _ in range(40):
+            p = rand_poly(rng.randint(1, 8))
+            divisors = [rand_poly(rng.randint(1, 4)).scale(
+                Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**12), rng.randint(1, 10**9)))
+                for _ in range(rng.randint(1, 3))]
+            _assert_matches_naive(p, [d for d in divisors if not d.is_zero] or [r.one()],
+                                  order)
+
+
+def _assert_matches_naive(p, divisors, order):
+    """divide_multi against the plain-dict division: equal quotients and
+    remainder, term for term, and p = sum(q_i * g_i) + r."""
+    qs, rem = divide_multi(p, divisors, order)
+    ref_qs, ref_rem = divide(dict(p.terms), [dict(d.terms) for d in divisors],
+                             ORDER_KEYS[order.kind], p.ring.field.char)
+    assert [q.terms for q in qs] == ref_qs
+    assert rem.terms == ref_rem
+    assert sum((q * d for q, d in zip(qs, divisors)), rem) == p
+    return qs, rem
 
 
 class TestPower:

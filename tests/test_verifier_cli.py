@@ -266,6 +266,13 @@ class TestCli:
         # the takanori subcommand includes the honest literal failure
         assert run(["takanori", "--quiet"]) == 1
 
+    @pytest.mark.parametrize("command", ["localization", "main-identities"])
+    def test_exponent_past_32_bits(self, capsys, command):
+        # x^4294967297 divides exactly: the division kernel widens its
+        # exponent fields past 32 bits
+        assert run([command, "--n", "4294967297"]) == 0
+        assert f"[PASS] {command}-n4294967297" in capsys.readouterr().out
+
     def test_fibers_with_lambdas(self, capsys):
         assert run(["fibers", "--n", "2", "--lambda", "1/2", "--lambda", "3"]) == 0
         out = capsys.readouterr().out
@@ -435,4 +442,4 @@ def test_run_all_golden():
             del d["seconds"]
             digest.update((json.dumps(d) + "\n").encode())
     assert digest.hexdigest() == (
-        "5d2511a2076b89aa6064eeda6d2ce83bc3d6d56a02705cbeafa48623d74b5ffc")
+        "90156752aa714893a183d15fff3fd924c8227992006dca86adbcb69557c86825")
