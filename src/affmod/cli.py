@@ -1,6 +1,7 @@
 """Command-line verification driver.
 
-Subcommands replay the checked claims; exit code is 0 iff no check failed.
+Subcommands replay the checked claims; exit code is 0 iff no check failed,
+and 2 on a usage error or a report that could not be written.
 Reports go to stdout as a summary table (suppress with --quiet) and,
 optionally, to a JSON-lines file via --json.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 
 from . import verifier
 from .report import summarize, write_json_lines
@@ -66,7 +68,11 @@ def run(argv=None) -> int:
     if not args.quiet:
         print(summarize(reports))
     if args.json:
-        write_json_lines(reports, args.json)
+        try:
+            write_json_lines(reports, args.json)
+        except OSError as e:
+            print(f"affmod: cannot write {args.json!r}: {e.strerror}", file=sys.stderr)
+            return 2
     return 0 if all(r.ok for r in reports) else 1
 
 

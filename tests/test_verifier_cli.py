@@ -5,6 +5,7 @@ import subprocess
 import sys
 from argparse import ArgumentTypeError
 from collections import Counter
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -13,10 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affmod import GREVLEX, Ideal, degrees, ideals, ideals_equal, poly, ring, verifier
+from affmod import (
+    GREVLEX,
+    Ideal,
+    degrees,
+    ideals,
+    ideals_equal,
+    normal_form,
+    poly,
+    ring,
+    verifier,
+    verify_ring_map,
+)
 from affmod.cli import FIELD_ENV_VAR, build_parser, run
 from affmod.report import VerificationReport, summarize
-from affmod.rings import build_C2, c1_alternate_ideal, c1_to_c2_map
+from affmod.rings import build_C1, build_C2, c1_alternate_ideal, c1_to_c2_map
 from affmod.scalars import QQ, PrimeField, field_from_spec
 from affmod.verifier import (
     CHECKS,
@@ -118,13 +130,40 @@ class TestVerifierCommands:
         assert "n=1 relation" in joined
 
     def test_isomorphism_chain_completions(self, monkeypatch):
-        # the repaired chain is polynomial identities; the literal chain
-        # completes I, J and C2's ideal to prove its negative facts
+        # both chains are decided by identities and evaluated witnesses, so
+        # only Samuel's check completes a basis, once per n
         calls = _count_calls(monkeypatch, ideals, "buchberger_gb")
         cmd_takanori_repaired()
-        assert calls == []
         cmd_takanori()
-        assert len(calls) == 3
+        assert calls == []
+        run_all(PrimeField(7))
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("field", [QQ] + [PrimeField(p) for p in (101, 7, 5, 3, 2)],
+                             ids=str)
+    def test_isomorphism_chain_certificates_match_groebner(self, field):
+        """Every verdict the literal chain reads off its certificates is the
+        one the Groebner engine, the reference, gives."""
+        c1, c2, J = build_C1(field), build_C2(field), c1_alternate_ideal(field)
+        x, y, u, v = c1.ambient.gens()
+        X, Y, U, V = c2.ambient.gens()
+        rep = cmd_takanori(field)
+        assert rep.status == "failed"
+        # the half of "J is strictly smaller than I" no transcript line names
+        assert all(c1.defining.contains(g) for g in J.generators)
+        zero_divisor = J.contains((u * v - 1) * (u * x - y + 1))
+        for line in [
+            f"I = J as ideals: {ideals_equal(c1.defining, J)}",
+            f"1 + u*x = y modulo J: {normal_form(1 + u * x - y, J).is_zero}",
+            f"1 + v*y = x modulo J: {normal_form(1 + v * y - x, J).is_zero}",
+            f"  (uv - 1)*(u*x - y + 1) in J: {zero_divisor}; the cancellation by "
+            "the zero divisor uv - 1 is where the classical derivation breaks",
+            "phi(x,y,u,v) = (U,V,-Y,-X) carries the generators of J onto the "
+            f"defining relations of C2: {verify_ring_map(J, c2, c1_to_c2_map(field))}",
+            "V = 1 - Y*U in C2 (so C2 is generated by X, Y, U): "
+            f"{c2.equal(V, 1 - Y * U)}",
+        ]:
+            assert line in rep.transcript
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_samuel(self, n):
@@ -208,6 +247,34 @@ class TestMutatedFixtures:
         good = c1_alternate_ideal()
         bad = Ideal([x * (u * v - 1) - (v + 1), y * (u * v - 1) + (u + 1)], GREVLEX)
         assert not ideals_equal(good, bad)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=str)
+    @pytest.mark.parametrize("builder, mutate, line", [
+        # j1 = x*(u*v - 1) + (v + 2) is 1 on the plane u = v = -1
+        ("c1_alternate_ideal", lambda j1, j2: [j1 + 1, j2], "I = J as ideals: None"),
+        # the second relation of C2 is 1 at X = Y = 1, U = V = 0
+        ("build_C2", lambda g1, g2: [g1, g2 + 1],
+         "V = 1 - Y*U in C2 (so C2 is generated by X, Y, U): None"),
+        # the same ideal I, but j1 = v*i1 + i2 no longer holds
+        ("build_C1", lambda i1, i2: [i1, i2 + i1],
+         "  J in I is undecided: j1 = v*i1 + i2 or j2 = u*i2 + i1 fails"),
+    ], ids=["J-off-the-plane", "C2-off-the-point", "J-in-I-cofactor"])
+    def test_broken_certificate_leaves_the_literal_chain_unknown(
+            self, monkeypatch, field, builder, mutate, line):
+        real = getattr(verifier, builder)
+
+        def mutated(field=QQ):
+            built = real(field)
+            ideal = getattr(built, "defining", built)
+            ideal = Ideal(mutate(*ideal.generators), ideal.order)
+            return ideal if builder == "c1_alternate_ideal" else replace(built, defining=ideal)
+
+        monkeypatch.setattr(verifier, builder, mutated)
+        rep = cmd_takanori(field)
+        assert rep.status == "unknown"
+        assert rep.detail == (
+            "a certificate does not hold, so the chain is undecided; see transcript")
+        assert line in rep.transcript
 
     def test_unnegated_image_fails_the_repaired_chain(self, monkeypatch):
         def unnegated(field=QQ):
@@ -313,6 +380,13 @@ class TestCli:
         assert f"argument --json: cannot write {str(path)!r}" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_failed_report_write_is_exit_2(self, capsys):
+        # /dev/full opens for writing, so the trial open passes, and every
+        # write to it fails with ENOSPC
+        assert run(["localization", "--quiet", "--json", "/dev/full"]) == 2
+        assert capsys.readouterr().err.startswith("affmod: cannot write '/dev/full': ")
+
     def test_json_path_left_alone_on_later_usage_error(self, tmp_path):
         new = tmp_path / "new.jsonl"
         with pytest.raises(SystemExit) as exc:
@@ -366,7 +440,9 @@ class TestCli:
         ("1.5", Fraction(3, 2)), ("-3/4", Fraction(-3, 4)), ("1e3", Fraction(1000)),
         ("-" + "1" * 5000 + "/" + "3" * 4999, -Fraction(10**5000 // 9, 10**4999 // 3)),
         ("2" * 4400 + ".5e-3", Fraction(int(Decimal("2" * 4400 + "5")), 10**4)),
-    ], ids=["decimal", "fraction", "exponent", "long-fraction", "long-decimal"])
+        ("1e-" + "0" * 5000 + "3", Fraction(1, 1000)),
+    ], ids=["decimal", "fraction", "exponent", "long-fraction", "long-decimal",
+            "long-exponent"])
     def test_rational_literals(self, text, value):
         assert verifier.rational(text) == value
 
@@ -382,6 +458,21 @@ class TestCli:
         except ArgumentTypeError:
             got = None
         assert got == expected
+
+    @pytest.mark.parametrize("text", ["1e100000000", "-1e-100000000", "1.5e1000001",
+                                      "1e" + "9" * 5000], ids=["e8", "e-8", "e6+1", "e5000digits"])
+    def test_lambda_exponent_past_a_million_is_usage_error(self, capsys, text):
+        # 1e100000000 alone would be a value of 10^8 digits
+        with pytest.raises(SystemExit) as exc:
+            run(["fibers", "--n", "2", f"--lambda={text}", "--quiet"])
+        assert exc.value.code == 2
+        assert (f"argument --lambda: exponent beyond 10^6 in magnitude: {text!r}"
+                in capsys.readouterr().err)
+
+    def test_lambda_exponent_of_a_million_reads(self):
+        assert verifier.rational("1e1000000") == 10**10**6
+        assert verifier.rational("-1e-1000000") == Fraction(-1, 10**10**6)
+        assert verifier.rational("0.5e1000000") == 5 * 10**999999
 
     def test_rejects_bad_lambda(self, capsys):
         with pytest.raises(SystemExit):
