@@ -3,9 +3,12 @@
 The completion uses the normal pair-selection strategy (least lcm first
 in the order, for lex as for grevlex) and the pair criteria of Gebauer and
 Moeller 1988, "On an installation of Buchberger's algorithm": the product
-(coprime) criterion, B, M and F.  A basis element whose leading monomial a
-newer element divides leaves the active basis.  The reduced basis is unique
-per order, so the output is canonical regardless of pair scheduling.
+(coprime) criterion, B, M and F.  Every element, generator or S-polynomial
+remainder, enters the active basis reduced by it, and an element whose
+leading monomial a newer element divides leaves.  So the active basis is
+minimal at every step, and the last step only tail-reduces it.  The reduced
+basis is unique per order, so the output is canonical regardless of pair
+scheduling.
 """
 
 from __future__ import annotations
@@ -39,27 +42,11 @@ def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
 
 
 def reduce_groebner_basis(basis, order: MonomialOrder):
-    """Minimalize and tail-reduce a Groebner basis; monic, sorted by leading
-    monomial (descending)."""
-    basis = [g for g in basis if not g.is_zero]
-    # minimalize: drop elements whose leading monomial is divisible by another's
-    minimal = []
-    lms = [g.leading(order)[0] for g in basis]
-    for i, g in enumerate(basis):
-        if any(
-            j != i
-            and mono_divides(lms[j], lms[i])
-            and (lms[j] != lms[i] or j < i)
-            for j in range(len(basis))
-        ):
-            continue
-        minimal.append(g)
-    # fully reduce each element against the others
-    reduced = []
-    for i, g in enumerate(minimal):
-        r = reduce_mod(g, minimal[:i] + minimal[i + 1 :], order)
-        if not r.is_zero:
-            reduced.append(r.monic(order))
+    """Tail-reduce a minimal, monic Groebner basis; sorted by leading
+    monomial (descending).  No leading monomial divides another's, so each
+    leading term survives the reduction and each remainder stays monic."""
+    reduced = [reduce_mod(g, basis[:i] + basis[i + 1:], order)
+               for i, g in enumerate(basis)]
     reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
     return reduced
 
@@ -111,16 +98,20 @@ def buchberger_gb(gens, order: MonomialOrder = GREVLEX):
         active[:] = [i for i in active if not mono_divides(lm_h, lms[i])]
         active.append(k)
 
+    def install(p: MultiPoly):
+        """Reduce p by the active basis and add a nonzero remainder, so no
+        active leading monomial divides another's."""
+        r = reduce_mod(p, [G[a] for a in active], order)
+        if not r.is_zero:
+            update(r.monic(order))
+
     for g in gens:
         if not g.is_zero:
-            update(g.monic(order))
+            install(g)
     while pairs:
         i, j = max(pairs, key=rank)
         del pairs[i, j]
-        basis = [G[a] for a in active]
-        r = reduce_mod(s_polynomial(G[i], G[j], order), basis, order)
-        if not r.is_zero:
-            update(r.monic(order))
+        install(s_polynomial(G[i], G[j], order))
     return reduce_groebner_basis([G[a] for a in active], order)
 
 
@@ -146,11 +137,6 @@ class Ideal:
             self._gb = buchberger_gb(self.generators, self.order)
         return self._gb
 
-    def with_order(self, order: MonomialOrder) -> "Ideal":
-        if order == self.order:
-            return self
-        return Ideal(self.generators, order)
-
     def contains(self, p: MultiPoly) -> bool:
         return normal_form(p, self).is_zero
 
@@ -168,7 +154,9 @@ def ideals_equal(a: Ideal, b: Ideal) -> bool:
     """Equal reduced Groebner bases under a's order (unique per order)."""
     if a.ring != b.ring:
         raise RingMismatchError("ideals in different rings")
-    return a.groebner_basis == b.with_order(a.order).groebner_basis
+    if b.order == a.order:
+        return a.groebner_basis == b.groebner_basis
+    return a.groebner_basis == buchberger_gb(b.generators, a.order)
 
 
 def colength(ideal: Ideal):

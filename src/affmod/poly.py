@@ -148,7 +148,8 @@ class MultiPoly:
     def _check_ring(self, other: "MultiPoly"):
         if self.ring != other.ring:
             raise RingMismatchError(
-                f"rings differ: {self.ring.variables} vs {other.ring.variables}"
+                f"rings differ: {self.ring.variables} over {self.ring.field} "
+                f"vs {other.ring.variables} over {other.ring.field}"
             )
 
     def _coerce(self, other):

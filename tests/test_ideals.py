@@ -12,6 +12,7 @@ from affmod import (
     Ideal,
     buchberger_gb,
     colength,
+    ideals,
     ideals_equal,
     is_point_ideal,
     normal_form,
@@ -20,7 +21,7 @@ from affmod import (
     ring,
 )
 from affmod.ideals import s_polynomial
-from affmod.poly import RingMismatchError, reduce_mod
+from affmod.poly import RingMismatchError, mono_divides, reduce_mod
 from affmod.scalars import QQ, PrimeField
 
 from conftest import ORDERS, poly_strategy, polys_over_fields, random_poly
@@ -35,6 +36,15 @@ KATSURA4 = ["x0 + 2*x1 + 2*x2 + 2*x3 + 2*x4 - 1",
             "2*x1*x2 + 2*x0*x3 + 2*x1*x4 - x3"]
 CYCLIC4 = ["a + b + c + d", "a*b + b*c + c*d + d*a",
            "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1"]
+# generator sets in x, y that are not minimal bases, under lex and grevlex
+NON_MINIMAL = {
+    "same-lm": ["x^2 + y", "x^2 - y + 1"],
+    "scalar-multiple": ["x*y - 1", "y^2 - x", "3*x*y - 3"],
+    "lm-divides-later": ["x - y", "x^2 + y"],
+    "reduces-to-zero": ["x^2 - y", "x*y - 1", "x^3 - x*y"],
+    "duplicate": ["x^2 + y^2 - 1", "x - y", "x^2 + y^2 - 1"],
+}
+FIELDS = (QQ, PrimeField(7))
 
 
 class TestBuchberger:
@@ -117,6 +127,40 @@ class TestBuchberger:
         assert packs and max(packs.values()) == 1
         assert all(packs[id(g), order.kind] == 1 for g in gb)
 
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
+    @pytest.mark.parametrize("name", NON_MINIMAL)
+    def test_non_minimal_generators(self, name, order, field):
+        r = ring("x", "y", field=field)
+        gens = [parse_poly(t, r) for t in NON_MINIMAL[name]]
+        assert buchberger_gb(gens, order) == naive_buchberger(gens, order)
+
+    @pytest.mark.parametrize("texts, names, field, order", [
+        *(pytest.param(texts, "xy", field, order, id=f"{name}-{order.kind}-{field!r}")
+          for name, texts in NON_MINIMAL.items()
+          for field in FIELDS for order in ORDERS),
+        pytest.param(CYCLIC4, "abcd", QQ, LEX, id="cyclic4-lex"),
+        pytest.param(KATSURA4, [f"x{i}" for i in range(5)], QQ, GREVLEX,
+                     id="katsura4-grevlex"),
+    ])
+    def test_active_basis_minimal(self, monkeypatch, texts, names, field, order):
+        """The basis handed to the last step is monic and minimal: no
+        leading monomial divides another's."""
+        r = ring(*names, field=field)
+        seen, real = [], ideals.reduce_groebner_basis
+
+        def checked(basis, order):
+            lms = [g.leading(order)[0] for g in basis]
+            assert all(g.leading(order)[1] == field.one for g in basis)
+            assert not any(i != j and mono_divides(a, b)
+                           for i, a in enumerate(lms) for j, b in enumerate(lms))
+            seen.append(basis)
+            return real(basis, order)
+
+        monkeypatch.setattr(ideals, "reduce_groebner_basis", checked)
+        buchberger_gb([parse_poly(t, r) for t in texts], order)
+        assert len(seen) == 1
+
     def test_prime_field(self):
         r5 = ring("x", "y", field=PrimeField(5))
         x, y = r5.gens()
@@ -196,10 +240,6 @@ class TestIdeal:
         b = normal_form(x + x * y - 1, ideal)
         assert a == b == x
 
-    def test_with_order_reuses_same_order(self, rxy):
-        ideal = Ideal([rxy.var("x")], LEX)
-        assert ideal.with_order(LEX) is ideal
-
     def test_mixed_rings_rejected(self, rxy, rxyu):
         with pytest.raises(RingMismatchError):
             Ideal([rxy.var("x"), rxyu.var("u")])
@@ -223,6 +263,20 @@ class TestIdealsEqual:
         a = Ideal([x - 1, y - 2])
         b = Ideal([(x - 1).scale(Fraction(3, 7)), (y - 2).scale(-5)])
         assert ideals_equal(a, b)
+
+    def test_same_order_completes_each_once(self, monkeypatch, rxy):
+        x, y = rxy.gens()
+        calls, real = [], ideals.buchberger_gb
+
+        def counted(gens, order):
+            calls.append(gens)
+            return real(gens, order)
+
+        monkeypatch.setattr(ideals, "buchberger_gb", counted)
+        a = Ideal([x**2 - y, x * y - 1], LEX)
+        b = Ideal([x * y - 1, x**2 - y], LEX)
+        assert ideals_equal(a, b) and ideals_equal(b, a)
+        assert calls == [a.generators, b.generators]
 
     def test_cross_order(self, rxy):
         x, y = rxy.gens()

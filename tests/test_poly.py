@@ -69,6 +69,12 @@ class TestArithmetic:
         with pytest.raises(RingMismatchError):
             rxy.var("x") + rxyu.var("x")
 
+    def test_field_mismatch_names_fields(self):
+        x = ring("x", "y").var("x")
+        y = ring("x", "y", field=PrimeField(7)).var("y")
+        with pytest.raises(RingMismatchError, match=r"over QQ vs .* over GF\(7\)"):
+            x + y
+
     @given(p=poly_strategy(RXY), q=poly_strategy(RXY), r=poly_strategy(RXY))
     def test_ring_laws(self, p, q, r):
         assert p + q == q + p
