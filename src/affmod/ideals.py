@@ -1,20 +1,23 @@
 """Ideals, Buchberger's algorithm, normal forms, colength.
 
 The completion uses the normal pair-selection strategy (least lcm first
-in the order, for lex as for grevlex) and the pair criteria of Gebauer and
-Moeller 1988, "On an installation of Buchberger's algorithm": the product
-(coprime) criterion, B, M and F.  Every element, generator or S-polynomial
-remainder, enters the active basis reduced by it, and an element whose
-leading monomial a newer element divides leaves.  So the active basis is
-minimal at every step, and the last step only tail-reduces it.  The reduced
-basis is unique per order, so the output is canonical regardless of pair
-scheduling.
+in the order, for lex as for grevlex; of equal lcms, the pair made first),
+served by a heap, and the pair criteria of Gebauer and Moeller 1988, "On an
+installation of Buchberger's algorithm": the product (coprime) criterion,
+B, M and F.  Every element, generator or S-polynomial remainder, enters the
+active basis reduced by it (``reduce_mod``, remainder only), and an element
+whose leading monomial a newer element divides leaves.  So the active basis
+is minimal at every step, and the last step only tail-reduces it.  The
+reduced basis is unique per order, so the output is canonical regardless of
+pair scheduling.
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from itertools import product
+from operator import neg
 
 from .poly import (
     GREVLEX,
@@ -32,13 +35,23 @@ INFINITE = math.inf
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
+    """lcm/lt(f) * f - lcm/lt(g) * g for the lcm of the leading monomials,
+    built in one dict from the two tails: the leading terms cancel."""
     lm_f, lc_f = f.leading(order)
     lm_g, lc_g = g.leading(order)
+    f._check_ring(g)
     lcm = mono_lcm(lm_f, lm_g)
     fld = f.ring.field
-    mf = MultiPoly(f.ring, {mono_div(lcm, lm_f): fld.inv(lc_f)})
-    mg = MultiPoly(g.ring, {mono_div(lcm, lm_g): fld.inv(lc_g)})
-    return mf * f - mg * g
+    out = {}
+    for h, lm, c in ((f, lm_f, fld.inv(lc_f)), (g, lm_g, fld.neg(fld.inv(lc_g)))):
+        shift = mono_div(lcm, lm)
+        for m, a in h.terms.items():
+            if m != lm:
+                m = mono_mul(m, shift)
+                a = fld.mul(a, c)
+                old = out.get(m)
+                out[m] = a if old is None else fld.add(old, a)
+    return MultiPoly(f.ring, out)
 
 
 def reduce_groebner_basis(basis, order: MonomialOrder):
@@ -56,12 +69,12 @@ def buchberger_gb(gens, order: MonomialOrder = GREVLEX):
     G = []  # every element ever added; pairs index into it
     lms = []  # leading monomial of G[i]
     active = []  # indices of G whose leading monomials are not redundant
-    pairs = {}  # (i, j) -> lcm of the leading monomials, i < j
-
-    def rank(pair):
-        # the normal strategy: the least lcm in the order (the largest
-        # key), not degree first
-        return order.key(pairs[pair])
+    pairs = {}  # (i, j) -> lcm of the leading monomials, i < j; the live pairs
+    # The normal strategy picks the least lcm in the order (the largest key;
+    # not degree first) and, of equal lcms, the pair inserted first.  Pairs
+    # are inserted in ascending (j, i), so the heap holds (negated key, j, i),
+    # and a popped pair that criterion B deleted is skipped.
+    heap = []
 
     def update(h: MultiPoly):
         """Add h to the basis and its useful pairs to ``pairs``: the
@@ -95,6 +108,7 @@ def buchberger_gb(gens, order: MonomialOrder = GREVLEX):
         for i, lcm in kept:
             if lcm != mono_mul(lms[i], lm_h):
                 pairs[i, k] = lcm
+                heappush(heap, (tuple(map(neg, order.key(lcm))), k, i))
         active[:] = [i for i in active if not mono_divides(lm_h, lms[i])]
         active.append(k)
 
@@ -108,10 +122,10 @@ def buchberger_gb(gens, order: MonomialOrder = GREVLEX):
     for g in gens:
         if not g.is_zero:
             install(g)
-    while pairs:
-        i, j = max(pairs, key=rank)
-        del pairs[i, j]
-        install(s_polynomial(G[i], G[j], order))
+    while heap:
+        _, j, i = heappop(heap)
+        if pairs.pop((i, j), None) is not None:
+            install(s_polynomial(G[i], G[j], order))
     return reduce_groebner_basis([G[a] for a in active], order)
 
 

@@ -12,7 +12,8 @@ import heapq
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from operator import mul
+from functools import cache
+from operator import add, le, mul, sub
 
 from .scalars import QQ, scalar_from_rational
 
@@ -75,19 +76,19 @@ def ring(*variables, field=QQ) -> Ring:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 @dataclass(frozen=True)
@@ -229,7 +230,10 @@ class MultiPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
+            try:
+                other = self.ring.const(other)
+            except ZeroDivisionError:  # a denominator that is 0 in GF(p)
+                return False
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
@@ -338,9 +342,10 @@ class MultiPoly:
 # -- module-level operations ------------------------------------------------
 
 
-def divide_multi(p: MultiPoly, divisors, order: MonomialOrder):
+def divide_multi(p: MultiPoly, divisors, order: MonomialOrder, *, quotients=True):
     """Multivariate division: p = sum(q_i * g_i) + r, no monomial of r
-    divisible by any divisor's leading monomial.
+    divisible by any divisor's leading monomial.  Returns ([q_i], r); with
+    ``quotients=False`` it records no quotient term and returns (None, r).
 
     Each step takes the largest monomial m left and divides by the first
     divisor whose leading monomial divides m; if none does, m goes to the
@@ -370,31 +375,32 @@ def divide_multi(p: MultiPoly, divisors, order: MonomialOrder):
       Fraction(c, scale)*m, and a quotient term c*m is
       Fraction(c, scale)/kappa*m, so quotients and remainder stay exact.
 
-    The packed form of a divisor is cached on it (``MultiPoly.packed``).
+    The packed form of a divisor is cached on it (``MultiPoly.packed``), and
+    the layout of a ring at one width is built once.
     """
     divisors = list(divisors)
     if any(g.is_zero for g in divisors):
         raise ZeroPolynomialError("zero divisor in division")
     for g in divisors:
-        p._check_ring(g)
+        if g.ring is not p.ring:
+            p._check_ring(g)
     width = 8
     while max(map(sum, p.terms), default=0) >> width:
         width *= 2
-    while (out := _divide_packed(p, divisors, order, width)) is None:
+    while (out := _divide_packed(p, divisors, order, width, quotients)) is None:
         width *= 2
     return out
 
 
-def _divide_packed(p: MultiPoly, divisors: list, order: MonomialOrder, width: int):
+def _divide_packed(p: MultiPoly, divisors: list, order: MonomialOrder, width: int,
+                   want_quotients: bool):
     """divide_multi with exponent fields of the given width; None if an
     exponent does not fit."""
     heads = [g.packed(order, width) for g in divisors]
     if None in heads:
         return None
     ring_ = p.ring
-    offsets, sign, weights = _layout(ring_.nvars, order.kind, width)
-    mask = (1 << ring_.nvars * (width + 1)) - 1
-    guard = sum([1 << o + width for o in offsets])
+    offsets, sign, weights, mask, guard = _layout(ring_.nvars, order.kind, width)
     leads = [head[0] for head in heads]
     char = ring_.field.char
     scale, terms = _int_terms(p)
@@ -430,7 +436,8 @@ def _divide_packed(p: MultiPoly, divisors: list, order: MonomialOrder, width: in
                 work = {k: a * e for k, e in work.items()}
                 scale *= a
             c //= d
-        quotients[i].append((m - lead_m, c, scale))
+        if want_quotients:
+            quotients[i].append((m - lead_m, c, scale))
         qh = h - lead_h
         for th, tc in tail:
             nh = qh + th
@@ -449,32 +456,41 @@ def _divide_packed(p: MultiPoly, divisors: list, order: MonomialOrder, width: in
         return {tuple([m >> o & field_mask for o in offsets]): Fraction(c * num, s * den)
                 for m, c, s in triples}
 
-    return ([MultiPoly(ring_, terms_of(q, num, den))
-             for q, (*_, num, den) in zip(quotients, heads)],
-            MultiPoly(ring_, terms_of(remainder, 1, 1)))
+    rem = MultiPoly(ring_, terms_of(remainder, 1, 1))
+    if not want_quotients:
+        return None, rem
+    zero = MultiPoly(ring_, {})  # shared by the quotients no step touched
+    return ([MultiPoly(ring_, terms_of(q, num, den)) if q else zero
+             for q, (*_, num, den) in zip(quotients, heads)], rem)
 
 
+@cache
 def _layout(nvars: int, kind: str, width: int) -> tuple:
-    """How monomials pack at one field width: (offsets, sign, weights).
+    """How monomials pack at one field width: (offsets, sign, weights, mask,
+    guard), built once per (nvars, kind, width).
 
     The packed exponent vector P of a monomial has one field of width + 1
     bits per variable, at the bit offsets given; the top bit of a field is
-    a guard bit, clear while the exponent fits in width bits.  x_1 has the
-    highest field under lex and the lowest under grevlex, so that P orders
-    like lex, and like grevlex among monomials of one degree.  The key of a
-    monomial, the dot product of its exponents with the weights, is -P
-    under lex and P - (degree << nvars*(width + 1)) under grevlex.  Keys
-    add as monomials multiply, a smaller key is a larger monomial, and P is
-    (sign * key) & (2**(nvars*(width + 1)) - 1).
+    a guard bit, clear while the exponent fits in width bits, and guard has
+    all of them set.  x_1 has the highest field under lex and the lowest
+    under grevlex, so that P orders like lex, and like grevlex among
+    monomials of one degree.  The key of a monomial, the dot product of its
+    exponents with the weights, is -P under lex and
+    P - (degree << nvars*(width + 1)) under grevlex.  Keys add as monomials
+    multiply, a smaller key is a larger monomial, and P is
+    (sign * key) & mask, with mask = 2**(nvars*(width + 1)) - 1.
     """
     offsets = [(width + 1) * i for i in range(nvars)]
+    top = 1 << nvars * (width + 1)
+    guard = sum([1 << o + width for o in offsets])
     if kind == "lex":
         offsets.reverse()
-        return offsets, -1, [-1 << o for o in offsets]
-    if kind == "grevlex":
-        top = 1 << nvars * (width + 1)
-        return offsets, 1, [(1 << o) - top for o in offsets]
-    raise ValueError(f"unknown order kind {kind!r}")
+        sign, weights = -1, [-1 << o for o in offsets]
+    elif kind == "grevlex":
+        sign, weights = 1, [(1 << o) - top for o in offsets]
+    else:
+        raise ValueError(f"unknown order kind {kind!r}")
+    return tuple(offsets), sign, tuple(weights), top - 1, guard
 
 
 def _int_terms(f: MultiPoly) -> tuple:
@@ -500,7 +516,7 @@ def _pack_divisor(g: MultiPoly, order: MonomialOrder, width: int):
     if max(map(sum, g.terms)) >> width:
         return None
     lm, lc = g.leading(order)
-    offsets, _, weights = _layout(g.ring.nvars, order.kind, width)
+    offsets, _, weights, _, _ = _layout(g.ring.nvars, order.kind, width)
     char = g.ring.field.char
     if char:
         num, den, lead_c = pow(lc, -1, char), 1, 1
@@ -517,8 +533,8 @@ def _pack_divisor(g: MultiPoly, order: MonomialOrder, width: int):
 
 
 def reduce_mod(p: MultiPoly, divisors, order: MonomialOrder) -> MultiPoly:
-    """Remainder of multivariate division (quotients discarded)."""
-    return divide_multi(p, divisors, order)[1]
+    """Remainder of multivariate division; no quotient is built."""
+    return divide_multi(p, divisors, order, quotients=False)[1]
 
 
 def exact_div(p: MultiPoly, g: MultiPoly) -> MultiPoly:

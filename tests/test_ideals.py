@@ -21,11 +21,12 @@ from affmod import (
     ring,
 )
 from affmod.ideals import s_polynomial
-from affmod.poly import RingMismatchError, mono_divides, reduce_mod
+from affmod.poly import RingMismatchError, ZeroPolynomialError, mono_divides, reduce_mod
 from affmod.scalars import QQ, PrimeField
 
 from conftest import ORDERS, poly_strategy, polys_over_fields, random_poly
-from naive_gb import naive_buchberger
+from naive_gb import ORDER_KEYS, naive_buchberger
+from naive_gb import s_polynomial as naive_s_polynomial
 
 RXY = ring("x", "y")
 RXYU = ring("x", "y", "u")
@@ -45,6 +46,34 @@ NON_MINIMAL = {
     "duplicate": ["x^2 + y^2 - 1", "x - y", "x^2 + y^2 - 1"],
 }
 FIELDS = (QQ, PrimeField(7))
+# The pairs, as (lm f, lm g), that buchberger_gb hands to s_polynomial on
+# unscaled inputs, in order.  Pairs with equal lcms occur (katsura-4), so a
+# different tie-break among them changes the sequence.
+PAIR_SEQUENCES = {
+    "cyclic4-lex": (CYCLIC4, "abcd", QQ, LEX, """
+        b*c^2,b*c*d^2 b*c*d^2,c^3*d^2 b*c*d^2,b*c b*c,b*d^7 b*c^2,b*c
+        b^2,b*d^7 b*d^7,b*d^4 c^3*d^2,c^2*d^10 b*c,b*d^4 b*d^4,c^2*d^10
+        b^2,b*d^4 b^2,b*c c^2*d^10,c^2*d^9 c^2*d^9,c^2*d^6 c^3*d^2,c^2*d^6
+        b*d^4,c^2*d^6"""),
+    "cyclic4-grevlex": (CYCLIC4, "abcd", QQ, GREVLEX, """
+        b^2,b*c^2 b*c^2,b*c*d^2 b^2,b*c*d^2 b*c*d^2,b*d^4 b^2,b*d^4
+        b*c*d^2,c^3*d^2 c^3*d^2,c^2*d^4 b*d^4,c^2*d^4"""),
+    "katsura4-grevlex-QQ": (KATSURA4, [f"x{i}" for i in range(5)], QQ, GREVLEX, """
+        x2^2,x2*x3 x1*x2,x2*x3 x1*x2,x2^2 x1^2,x1*x2 x3^3,x3^2*x4
+        x2*x3,x3^2*x4 x1*x3^2,x1*x3*x4 x1*x3*x4,x3^2*x4 x2*x3,x1*x3*x4
+        x1^2,x1*x3*x4 x2*x3,x3^3 x1*x3^2,x3^3 x2*x3,x1*x3^2 x1^2,x1*x3^2
+        x3^2*x4,x3*x4^3 x2*x3,x3*x4^3 x3*x4^3,x2*x4^3 x1*x3*x4,x3*x4^3
+        x3*x4^3,x1*x4^3 x2^2,x2*x4^3 x1*x2,x2*x4^3 x2*x4^3,x1*x4^3
+        x1^2,x1*x4^3 x3*x4^3,x4^5 x2*x4^3,x4^5 x1*x4^3,x4^5"""),
+    "katsura4-grevlex-GF7": (KATSURA4, [f"x{i}" for i in range(5)], PrimeField(7),
+                             GREVLEX, """
+        x2*x3,x2^2 x1*x2,x2*x3 x1*x2,x2^2 x1^2,x1*x2 x3^3,x3^2*x4
+        x2*x3,x3^2*x4 x1*x3^2,x1*x3*x4 x1*x3*x4,x3^2*x4 x2*x3,x1*x3*x4
+        x1^2,x1*x3*x4 x2*x3,x3^3 x1*x3^2,x3^3 x2*x3,x1*x3^2 x1^2,x1*x3^2
+        x3^2*x4,x3*x4^3 x3*x4^3,x4^4 x2*x4^3,x4^4 x1*x4^3,x4^4 x2*x3,x3*x4^3
+        x3*x4^3,x2*x4^3 x1*x3*x4,x3*x4^3 x3*x4^3,x1*x4^3 x2^2,x2*x4^3
+        x1*x2,x2*x4^3 x2*x4^3,x1*x4^3 x1^2,x1*x4^3"""),
+}
 
 
 class TestBuchberger:
@@ -166,6 +195,64 @@ class TestBuchberger:
         x, y = r5.gens()
         gb = buchberger_gb([x**2 * y - 1, x - 1], LEX)
         assert gb == [x - 1, y - 1]
+
+    @pytest.mark.parametrize("name", PAIR_SEQUENCES)
+    def test_pair_sequence(self, monkeypatch, name):
+        """The normal strategy picks the least lcm first and, of equal lcms,
+        the pair made first: the pinned sequence of S-polynomials."""
+        texts, names, field, order, expected = PAIR_SEQUENCES[name]
+        r = ring(*names, field=field)
+        seen, real = [], ideals.s_polynomial
+
+        def text(m):
+            return "*".join(v if e == 1 else f"{v}^{e}"
+                            for v, e in zip(names, m) if e) or "1"
+
+        def recorded(f, g, order):
+            seen.append(f"{text(f.leading(order)[0])},{text(g.leading(order)[0])}")
+            return real(f, g, order)
+
+        monkeypatch.setattr(ideals, "s_polynomial", recorded)
+        buchberger_gb([parse_poly(t, r) for t in texts], order)
+        assert seen == expected.split()
+
+
+class TestSPolynomial:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7)], ids=repr)
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
+    def test_matches_dict_oracle(self, order, field):
+        """Non-monic pairs, with equal, dividing and coprime leading
+        monomials among them, against the plain-dict S-polynomial."""
+        rng = random.Random(29)
+        r = ring("x", "y", "z", field=field)
+        key = ORDER_KEYS[order.kind]
+        checked = 0
+        while checked < 60:
+            f, g = (random_poly(rng, r, max_terms=4, max_exp=3, max_coef=9)
+                    for _ in range(2))
+            if f.is_zero or g.is_zero:
+                continue
+            if not field.char:
+                f = f.scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            expected = naive_s_polynomial(dict(f.terms), dict(g.terms), key, field.char)
+            assert s_polynomial(f, g, order).terms == expected
+            assert s_polynomial(f, f, order).is_zero
+            checked += 1
+
+    def test_mixed_rings_rejected(self):
+        x = ring("x", "y").var("x")
+        for other in (ring("x", "y", field=PrimeField(7)).var("x"), ring("x", "z").var("x")):
+            with pytest.raises(RingMismatchError):
+                s_polynomial(x, other, GREVLEX)
+            with pytest.raises(RingMismatchError):
+                s_polynomial(other, x, LEX)
+
+    def test_zero_rejected(self, rxy):
+        x, y = rxy.gens()
+        with pytest.raises(ZeroPolynomialError):
+            s_polynomial(x * y - 1, rxy.zero(), GREVLEX)
+        with pytest.raises(ZeroPolynomialError):
+            s_polynomial(rxy.zero(), x, LEX)
 
 
 def _monic_terms(terms: dict, order, p: int) -> frozenset:

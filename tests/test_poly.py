@@ -75,6 +75,17 @@ class TestArithmetic:
         with pytest.raises(RingMismatchError, match=r"over QQ vs .* over GF\(7\)"):
             x + y
 
+    def test_equality_with_a_fraction_undefined_in_the_field(self):
+        """1/7 has no value in GF(7), so no polynomial over GF(7) equals it;
+        a fraction that has one compares by that value."""
+        r = ring("x", "y", field=PrimeField(7))
+        x, _ = r.gens()
+        for p in (x, r.zero(), r.one(), r.const(5)):
+            assert not p == Fraction(1, 7) and p != Fraction(1, 7)
+            assert not Fraction(1, 7) == p and Fraction(1, 7) != p
+            assert not p == Fraction(3, 49)
+        assert r.const(4) == Fraction(1, 2)  # 2 * 4 = 1 in GF(7)
+
     @given(p=poly_strategy(RXY), q=poly_strategy(RXY), r=poly_strategy(RXY))
     def test_ring_laws(self, p, q, r):
         assert p + q == q + p
@@ -235,13 +246,16 @@ class TestDivision:
 
 def _assert_matches_naive(p, divisors, order):
     """divide_multi against the plain-dict division: equal quotients and
-    remainder, term for term, and p = sum(q_i * g_i) + r."""
+    remainder, term for term, and p = sum(q_i * g_i) + r.  The
+    remainder-only path (reduce_mod) gives the same remainder."""
     qs, rem = divide_multi(p, divisors, order)
     ref_qs, ref_rem = divide(dict(p.terms), [dict(d.terms) for d in divisors],
                              ORDER_KEYS[order.kind], p.ring.field.char)
     assert [q.terms for q in qs] == ref_qs
     assert rem.terms == ref_rem
     assert sum((q * d for q, d in zip(qs, divisors)), rem) == p
+    assert reduce_mod(p, divisors, order) == rem
+    assert divide_multi(p, divisors, order, quotients=False) == (None, rem)
     return qs, rem
 
 
