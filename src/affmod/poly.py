@@ -114,18 +114,18 @@ GREVLEX = MonomialOrder("grevlex")
 class MultiPoly:
     """Immutable sparse polynomial; terms map monomials to nonzero scalars.
 
-    ``_lead`` caches the leading (monomial, coefficient) per order kind, so
-    each polynomial scans its terms at most once per order, and ``_packed``
-    its form as a divisor of ``divide_multi`` per order kind and width.
+    ``_cache`` is None until first use, then one dict of the leading
+    (monomial, coefficient) under the order kind, found by one scan per
+    order, and the form as a divisor of ``divide_multi`` under (kind, width).
     """
 
-    __slots__ = ("ring", "terms", "_hash", "_lead", "_packed")
+    __slots__ = ("ring", "terms", "_hash", "_cache")
 
     def __init__(self, ring: Ring, terms: dict):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_lead", None)
+        self.ring = ring
+        self.terms = {m: c for m, c in terms.items() if c}
+        self._hash = None
+        self._cache = None
 
     # -- basic predicates ---------------------------------------------------
 
@@ -134,20 +134,16 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in m) for m in self.terms)
+        return not any(map(any, self.terms))
 
     def variables_present(self) -> tuple:
-        present = [False] * self.ring.nvars
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    present[i] = True
-        return tuple(v for v, p in zip(self.ring.variables, present) if p)
+        return tuple(v for v, column in zip(self.ring.variables, zip(*self.terms))
+                     if any(column))
 
     # -- arithmetic ---------------------------------------------------------
 
     def _check_ring(self, other: "MultiPoly"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(
                 f"rings differ: {self.ring.variables} over {self.ring.field} "
                 f"vs {other.ring.variables} over {other.ring.field}"
@@ -240,9 +236,7 @@ class MultiPoly:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash((self.ring, frozenset(self.terms.items())))
-            )
+            self._hash = hash((self.ring, frozenset(self.terms.items())))
         return self._hash
 
     def __repr__(self):
@@ -277,10 +271,9 @@ class MultiPoly:
 
     def leading(self, order: MonomialOrder):
         """Order-maximal (monomial, coefficient) pair."""
-        cache = self._lead
+        cache = self._cache
         if cache is None:
-            cache = {}
-            object.__setattr__(self, "_lead", cache)
+            cache = self._cache = {}
         lead = cache.get(order.kind)
         if lead is None:
             if self.is_zero:
@@ -292,10 +285,9 @@ class MultiPoly:
     def packed(self, order: MonomialOrder, width: int):
         """This polynomial as a divisor of the division kernel at one field
         width (``_pack_divisor``), built once per order kind and width."""
-        cache = getattr(self, "_packed", None)  # set on first use only
+        cache = self._cache
         if cache is None:
-            cache = {}
-            object.__setattr__(self, "_packed", cache)
+            cache = self._cache = {}
         key = (order.kind, width)
         if key not in cache:
             cache[key] = _pack_divisor(self, order, width)
@@ -382,8 +374,7 @@ def divide_multi(p: MultiPoly, divisors, order: MonomialOrder, *, quotients=True
     if any(g.is_zero for g in divisors):
         raise ZeroPolynomialError("zero divisor in division")
     for g in divisors:
-        if g.ring is not p.ring:
-            p._check_ring(g)
+        p._check_ring(g)
     width = 8
     while max(map(sum, p.terms), default=0) >> width:
         width *= 2

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .fibers import AFFINE_LINE, CurveClass, classify_curve, punctured_line
 from .ideals import Ideal, colength, is_point_ideal, normal_form
-from .poly import GREVLEX, MultiPoly, Ring, linear_form
+from .poly import GREVLEX, MultiPoly, Ring
 from .scalars import QQ
 
 
@@ -108,33 +108,26 @@ class SamuelReport:
 
 
 def certify_irreducible(p: MultiPoly):
-    """Tri-state irreducibility over the algebraic closure.
+    """Tri-state irreducibility over the algebraic closure, as ``_irreducible`` reads it."""
+    return _irreducible(p, classify_curve(p))
+
+
+def _irreducible(p: MultiPoly, curve: CurveClass):
+    """Tri-state irreducibility over the algebraic closure; curve classifies p = 0.
 
     True for polynomials linear in some variable with coprime univariate
     coefficients and no extractable common factor (the prime-linear-form
     certificate), and for univariate degree-1 polynomials.  False on a
     visible factorization (common factor, or univariate of degree >= 2,
     which always splits over the closure).  None outside the recognizable
-    class.
+    class.  classify_curve recognizes exactly those linear forms in two
+    variables, where one component means a constant common factor.
     """
     if p.is_zero or p.is_constant():
         return False
     present = p.variables_present()
     if len(present) == 1:
         return p.degree_in(present[0]) == 1
-    # p = common * residual is a proper factorization unless common is a
-    # constant, and c'*v + d' with gcd(c', d') = 1 is prime
-    dec = linear_form(p)
-    return None if dec is None else dec[0].is_constant()
-
-
-def _irreducible(p: MultiPoly, curve: CurveClass):
-    """certify_irreducible(p), read off the class of the curve p = 0 when p
-    has two variables: there classify_curve recognizes exactly the inputs
-    certify_irreducible does, and one component means a constant common
-    factor."""
-    if len(p.variables_present()) < 2:
-        return certify_irreducible(p)
     return None if curve.reason else len(curve.punctures) == 1
 
 

@@ -165,6 +165,40 @@ class TestLeadingTerm:
             rxy.zero().leading(GREVLEX)
 
 
+@st.composite
+def sparse_polys(draw):
+    """A polynomial over QQ, GF(2) or GF(7) in 1 to 8 variables whose terms
+    involve few of them, so that zero, constants and absent variables occur."""
+    n = draw(st.integers(1, 8))
+    r = Ring(tuple(f"x{i}" for i in range(n)),
+             draw(st.sampled_from((QQ, PrimeField(2), PrimeField(7)))))
+    mono = st.lists(st.sampled_from((0, 0, 0, 1, 3)), min_size=n, max_size=n).map(tuple)
+    terms = draw(st.dictionaries(mono, st.integers(-3, 3), max_size=4))
+    return MultiPoly(r, {m: r.field.from_int(c) for m, c in terms.items()})
+
+
+class TestStructureQueries:
+    """The column-wise structure queries and the per-polynomial cache,
+    against per-exponent loops and fresh copies."""
+
+    @given(p=sparse_polys())
+    @settings(max_examples=300)
+    def test_match_a_loop_over_exponents(self, p):
+        present = tuple(v for i, v in enumerate(p.ring.variables)
+                        if any(m[i] != 0 for m in p.terms))
+        assert p.variables_present() == present
+        assert p.is_constant() == all(e == 0 for m in p.terms for e in m)
+
+    @given(p=sparse_polys())
+    @settings(max_examples=100)
+    def test_cache_entries_do_not_mix(self, p):
+        assume(not p.is_zero)
+        calls = (lambda q: q.leading(LEX), lambda q: q.packed(GREVLEX, 8),
+                 lambda q: q.packed(GREVLEX, 16), lambda q: q.leading(GREVLEX))
+        for call in calls:
+            assert call(p) == call(MultiPoly(p.ring, p.terms))
+
+
 class TestDivision:
     def test_hand_reduction(self, rxy):
         x, y = rxy.gens()

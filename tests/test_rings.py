@@ -14,7 +14,7 @@ from affmod import (
     samuel_check,
     verify_ring_map,
 )
-from affmod import fibers, rings
+from affmod import fibers
 from affmod.rings import c1_alternate_ideal, c1_to_c2_map, certify_irreducible
 from affmod.scalars import PrimeField
 
@@ -216,7 +216,6 @@ class TestSamuelCheck:
         # b = x - 1 is univariate and needs no linear decomposition
         calls, real = [], fibers.linear_form
         monkeypatch.setattr(fibers, "linear_form", lambda p: calls.append(p) or real(p))
-        monkeypatch.setattr(rings, "linear_form", lambda p: calls.append(p) or real(p))
         x, y = RXY.gens()
         a = x**3 * y - 1
         assert samuel_check(a, x - 1).verdict == "hypotheses-verified"
@@ -225,9 +224,12 @@ class TestSamuelCheck:
     def test_irreducibility_matches_certificate(self):
         # samuel_check reads a two-variable curve's irreducibility off its class
         x, y = RXY.gens()
-        for a in (x**2 * y - 1, x**2 + y, x**3 * y - x, (x - 1) * (y - 1),
-                  (x**2 - 1) * (y + x), x**2 * y**2 - 1, x**2, x - 1, RXY.one()):
-            assert samuel_check(a, x - 1).a_irreducible is certify_irreducible(a), a
+        for a, expected in ((x**2 * y - 1, True), (x**2 + y, True), (x**3 * y - x, False),
+                            ((x - 1) * (y - 1), False), ((x**2 - 1) * (y + x), False),
+                            (x**2 * y**2 - 1, None), (x**2, False), (x - 1, True),
+                            (RXY.one(), False)):
+            assert samuel_check(a, x - 1).a_irreducible is expected, a
+            assert certify_irreducible(a) is expected, a
 
     def test_wrong_ring_rejected(self):
         r3 = ring("x", "y", "u")
